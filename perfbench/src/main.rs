@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload <olap-tsunami|olap-flood|ingest-durable|serve-sharded> \
+//!     --workload <olap-tsunami|olap-flood|ingest-durable> \
 //!     --seed <n> --seconds <n> --trace <0|1>
 //! ```
 //!
@@ -96,7 +96,6 @@ fn main() -> ExitCode {
         "olap-tsunami" => olap::run(Family::Tsunami, seed, seconds, trace),
         "olap-flood" => olap::run(Family::Flood, seed, seconds, trace),
         "ingest-durable" => ingest::run(seed, seconds, trace),
-        "serve-sharded" => serve::run(seed, seconds, trace),
         other => {
             eprintln!("perfbench: unknown workload {other}");
             return ExitCode::from(2);

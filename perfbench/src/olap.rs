@@ -14,7 +14,7 @@ use crate::common::{
     repeated_setup, same, subseed, traced_read, tsunami_spec, Deadline, Layers,
     BUILD_QUERIES_PER_TYPE, DATA_SEED, READ_QUERIES_PER_TYPE, ROWS,
 };
-use crate::report::{timed, Report, Timeline, DATASETS};
+use crate::report::{timed, BestTimes, Report, Samples, DATASETS};
 
 /// Share of a traced run spent in the untraced loop that
 /// `trace.overhead_frac` compares against.
@@ -113,25 +113,29 @@ pub fn run(family: Family, seed: u64, seconds: f64, trace: bool) -> Report {
     if trace {
         traced(&mut report, family, &tables, seconds);
     } else {
-        let (timeline, elapsed) = closed_loop(&mut report, &tables, seconds);
-        let (p50, ops_per_s) = timeline.summary(elapsed);
-        report.set("read_p50_us", p50);
-        report.set("ops_per_s", ops_per_s);
+        let (_, best) = closed_loop(&mut report, &tables, seconds);
+        report.set("read_best_p50_us", best.p50());
+        report.set("read_best_mean_us", best.mean());
     }
     report
 }
 
 /// Whole passes over every table's reads through `Table::execute` until
-/// `seconds` have passed (at least one pass). Returns the reads' timeline
-/// and the loop's wall time; every answer is compared with the oracle's.
-fn closed_loop(report: &mut Report, tables: &[OlapTable], seconds: f64) -> (Timeline, f64) {
-    let mut timeline = Timeline::default();
+/// `seconds` have passed (at least one pass). Returns every read's latency
+/// and each distinct read's best; every answer is compared with the
+/// oracle's.
+fn closed_loop(report: &mut Report, tables: &[OlapTable], seconds: f64) -> (Samples, BestTimes) {
+    let mut all = Samples::default();
+    let mut best = BestTimes::default();
     let deadline = Deadline::new(seconds);
     loop {
+        let mut op = 0;
         for t in tables {
             for (q, want) in t.reads.iter().zip(&t.expected) {
                 let (got, us) = timed(|| t.table.execute(black_box(q)));
-                timeline.op(deadline.elapsed(), Some(us));
+                all.push(us);
+                best.observe(op, us);
+                op += 1;
                 report.attempted += 1;
                 match got {
                     Ok(got) if same(&got, want) => {}
@@ -141,7 +145,7 @@ fn closed_loop(report: &mut Report, tables: &[OlapTable], seconds: f64) -> (Time
             }
         }
         if !deadline.running() {
-            return (timeline, deadline.elapsed());
+            return (all, best);
         }
     }
 }
@@ -150,9 +154,8 @@ fn closed_loop(report: &mut Report, tables: &[OlapTable], seconds: f64) -> (Time
 /// passes in which each read runs through `Table::execute` and then through
 /// the plan and scan layers it is made of.
 fn traced(report: &mut Report, family: Family, tables: &[OlapTable], seconds: f64) {
-    let untraced = closed_loop(report, tables, seconds * UNTRACED_SHARE)
-        .0
-        .reads();
+    let (untraced, best) = closed_loop(report, tables, seconds * UNTRACED_SHARE);
+    report.set("ops_per_s", best.ops_per_s());
     let mut layers: Vec<Layers> = tables.iter().map(|_| Layers::default()).collect();
     let deadline = Deadline::new(seconds * (1.0 - UNTRACED_SHARE));
     let mut layers_first = false;
@@ -191,6 +194,7 @@ fn traced(report: &mut Report, family: Family, tables: &[OlapTable], seconds: f6
         all.merge(l);
     }
     record_read_layers(report, planner, &all);
+    report.set("read_p50_us", all.execute.p50());
     report.set("read_p99_us", all.execute.p99());
     report.set("trace.overhead_frac", overhead_frac(&all, &untraced));
 

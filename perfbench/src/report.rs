@@ -11,8 +11,8 @@ use std::time::Instant;
 /// applies to every workload and is never 0.
 pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
-    ("read_p50_us", "us"),
-    ("ops_per_s", "1/s"),
+    ("read_best_p50_us", "us"),
+    ("read_best_mean_us", "us"),
     ("index_bytes", "bytes"),
 ];
 
@@ -70,8 +70,14 @@ const PER_LAYER_BASE: &[(&str, &str)] = &[
     // bounded. The read p99: stalls from outside the process, reads on a
     // fresh table generation and scatter wake-ups each hit 1-5% of reads,
     // which swings the tail by 30-80% between runs on a small shared host.
-    // And the figures of the write, durability and serving paths, which
-    // exist on one or two workloads only.
+    // The plain read p50 over every sample, which host interference moves
+    // by up to 40% (see [`BestTimes`]). The rate of one pass over every
+    // operation at its best time: on ingest-durable that is mostly insert
+    // time, whose best over the runs still moved by 25% between sets of
+    // runs 20 minutes apart. And the figures of the write, durability and
+    // serving paths, which exist on one workload only.
+    ("read_p50_us", "us"),
+    ("ops_per_s", "1/s"),
     ("read_p99_us", "us"),
     ("insert_p50_us", "us"),
     ("insert_p99_us", "us"),
@@ -151,48 +157,85 @@ impl Samples {
     }
 }
 
-/// Equal time slices a measured phase is cut into; each end-to-end figure
-/// is the median of its per-slice values, so a burst of interference from
-/// outside the process moves at most one slice.
+/// The fastest time of each distinct operation of a phase that runs its
+/// operations more than once: reads repeated pass after pass, or a whole
+/// write schedule repeated on a fresh database.
+///
+/// The end-to-end read figures come from these best times. On a small
+/// shared host, neighbours slow this process's reads by up to 1.8x for
+/// seconds at a time (a pure memory-latency loop in the same thread stays
+/// within 5% meanwhile), which moved the median of all samples by 40%
+/// between runs of the same code and seed. Each operation's fastest
+/// repetition falls in a quiet moment; over ten seeds, the median of those
+/// spread by 3-10% (interquartile range over median). A slowdown that lasts
+/// a whole run still shows.
+#[derive(Debug, Default, Clone)]
+pub struct BestTimes(Vec<f64>);
+
+impl BestTimes {
+    /// Records one execution of operation `op` that took `us` microseconds.
+    pub fn observe(&mut self, op: usize, us: f64) {
+        if op >= self.0.len() {
+            self.0.resize(op + 1, f64::INFINITY);
+        }
+        self.0[op] = self.0[op].min(us);
+    }
+
+    /// The best time of every operation observed at least once.
+    fn observed(&self) -> Samples {
+        Samples(self.0.iter().copied().filter(|us| us.is_finite()).collect())
+    }
+
+    /// Median over the operations of each one's best time.
+    pub fn p50(&self) -> f64 {
+        self.observed().p50()
+    }
+
+    /// Mean over the operations of each one's best time.
+    pub fn mean(&self) -> f64 {
+        let best = self.observed();
+        ratio(best.sum(), best.len() as f64)
+    }
+
+    /// Operations per second of one pass over every operation at its best
+    /// time.
+    pub fn ops_per_s(&self) -> f64 {
+        ratio(1e6, self.mean())
+    }
+}
+
+/// Equal time slices a closed-loop phase is cut into for its rate; the
+/// rate is the median slice's, so a burst of interference from outside
+/// the process moves at most one slice.
 const WINDOWS: usize = 3;
 
-/// The operations of a measured phase on one clock: when each completed
-/// (seconds since the phase began) and, for reads, its latency.
+/// When each operation of a measured phase completed, in seconds since the
+/// phase began.
 #[derive(Debug, Default)]
-pub struct Timeline(Vec<(f64, Option<f64>)>);
+pub struct Timeline(Vec<f64>);
 
 impl Timeline {
-    pub fn op(&mut self, done_s: f64, read_us: Option<f64>) {
-        self.0.push((done_s, read_us));
+    pub fn op(&mut self, done_s: f64) {
+        self.0.push(done_s);
     }
 
     pub fn merge(&mut self, other: Timeline) {
         self.0.extend(other.0);
     }
 
-    pub fn reads(&self) -> Samples {
-        Samples(self.0.iter().filter_map(|&(_, us)| us).collect())
-    }
-
-    /// Read p50 and operations per second over a phase of `span` seconds,
-    /// each the median over [`WINDOWS`] equal slices.
-    pub fn summary(&self, span: f64) -> (f64, f64) {
+    /// Operations per second over a phase of `span` seconds, the median
+    /// over [`WINDOWS`] equal slices.
+    pub fn rate(&self, span: f64) -> f64 {
         let width = span / WINDOWS as f64;
-        let mut p50 = Vec::with_capacity(WINDOWS);
-        let mut rate = Vec::with_capacity(WINDOWS);
-        for w in 0..WINDOWS {
-            let (lo, hi) = (w as f64 * width, (w + 1) as f64 * width);
-            let last = w + 1 == WINDOWS;
-            let slice: Vec<_> = self
-                .0
-                .iter()
-                .filter(|&&(t, _)| t >= lo && (t < hi || last))
-                .collect();
-            let reads = Samples(slice.iter().filter_map(|&&(_, us)| us).collect());
-            p50.push(reads.p50());
-            rate.push(slice.len() as f64 / width);
-        }
-        (median(&p50), median(&rate))
+        let rates: Vec<f64> = (0..WINDOWS)
+            .map(|w| {
+                let (lo, hi) = (w as f64 * width, (w + 1) as f64 * width);
+                let last = w + 1 == WINDOWS;
+                let done = self.0.iter().filter(|&&t| t >= lo && (t < hi || last));
+                done.count() as f64 / width
+            })
+            .collect();
+        median(&rates)
     }
 }
 
@@ -322,14 +365,26 @@ mod tests {
     #[test]
     fn timeline_reports_the_median_slice() {
         let mut t = Timeline::default();
-        // Three one-second slices; the middle one is slow and sparse.
-        for (slice, n, us) in [(0.0, 100, 10.0), (1.0, 10, 1_000.0), (2.0, 90, 20.0)] {
+        // Three one-second slices; the middle one is sparse.
+        for (slice, n) in [(0.0, 100), (1.0, 10), (2.0, 90)] {
             for i in 0..n {
-                t.op(slice + i as f64 / n as f64, Some(us));
+                t.op(slice + i as f64 / n as f64);
             }
         }
-        assert_eq!(t.summary(3.0), (20.0, 90.0));
-        assert_eq!(t.reads().len(), 200);
+        assert_eq!(t.rate(3.0), 90.0);
+    }
+
+    #[test]
+    fn best_times_keep_each_operations_fastest_run() {
+        let mut best = BestTimes::default();
+        for (op, us) in [(0, 30.0), (2, 10.0), (3, 50.0), (0, 20.0), (2, 40.0)] {
+            best.observe(op, us);
+        }
+        // Operation 1 never ran and does not count: the best times are
+        // 20, 10 and 50.
+        assert_eq!(best.p50(), 20.0);
+        assert!((best.mean() - 80.0 / 3.0).abs() < 1e-9);
+        assert!((best.ops_per_s() - 3.0 / 80e-6).abs() < 1e-6);
     }
 
     #[test]
