@@ -108,7 +108,7 @@ mod tests {
             .unwrap();
         let idx = FullScanIndex::build(&data);
         let q = Query::count(vec![Predicate::range(0, 10, 29).unwrap()]).unwrap();
-        assert_eq!(idx.execute(&q), q.execute_full_scan(&data));
+        assert_eq!(idx.execute(&q).0, q.execute_full_scan(&data));
         assert_eq!(idx.size_bytes(), 0);
         assert_eq!(idx.name(), "FullScan");
     }
@@ -125,13 +125,13 @@ mod tests {
         assert_eq!(after.store.len(), 100);
         assert_eq!(after.store.live_len(), 90);
         let q = Query::count(vec![Predicate::range(0, 0, 19).unwrap()]).unwrap();
-        assert_eq!(after.execute(&q), AggResult::Count(10));
+        assert_eq!(after.execute(&q).0, AggResult::Count(10));
         // ...a majority-dead store compacts physically.
         let big = Query::count(vec![Predicate::range(0, 0, 79).unwrap()]).unwrap();
         let (compacted, n) = after.delete_where(&big);
         assert_eq!(n, 70);
         assert_eq!(compacted.store.len(), 20);
-        assert_eq!(compacted.execute(&q), AggResult::Count(0));
+        assert_eq!(compacted.execute(&q).0, AggResult::Count(0));
         // Idempotent on the already-deleted band.
         let (_, n) = compacted.delete_where(&big);
         assert_eq!(n, 0);
@@ -142,10 +142,10 @@ mod tests {
         let data = Dataset::from_columns(vec![(0..50u64).collect()]).unwrap();
         let idx = FullScanIndex::build(&data);
         let q = Query::count(vec![Predicate::range(0, 0, 9).unwrap()]).unwrap();
-        let (res, stats) = idx.execute_with_stats(&q);
+        let (res, stats) = idx.execute(&q);
         assert_eq!(res, AggResult::Count(10));
-        assert_eq!(stats.points_scanned, 50);
-        assert_eq!(stats.ranges_scanned, 1);
-        assert_eq!(stats.points_matched, 10);
+        assert_eq!(stats.points, 50);
+        assert_eq!(stats.ranges, 1);
+        assert_eq!(stats.matched, 10);
     }
 }

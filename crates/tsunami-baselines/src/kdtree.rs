@@ -357,7 +357,7 @@ mod tests {
         let w = workload(3, 25, 32);
         let tree = KdTree::build(&ds, &w, 64);
         for q in w.queries() {
-            assert_eq!(tree.execute(q), q.execute_full_scan(&ds));
+            assert_eq!(tree.execute(q).0, q.execute_full_scan(&ds));
         }
         // Multi-dimensional query.
         let q = Query::count(vec![
@@ -365,7 +365,7 @@ mod tests {
             Predicate::range(2, 20_000, 80_000).unwrap(),
         ])
         .unwrap();
-        assert_eq!(tree.execute(&q), q.execute_full_scan(&ds));
+        assert_eq!(tree.execute(&q).0, q.execute_full_scan(&ds));
     }
 
     #[test]
@@ -389,9 +389,9 @@ mod tests {
             Predicate::range(1, 0, 10_000).unwrap(),
         ])
         .unwrap();
-        let (res, stats) = tree.execute_with_stats(&q);
+        let (res, stats) = tree.execute(&q);
         assert_eq!(res, q.execute_full_scan(&ds));
-        assert!(stats.points_scanned < ds.len() / 2);
+        assert!(stats.points < ds.len() / 2);
     }
 
     #[test]
@@ -402,7 +402,7 @@ mod tests {
         let tree = KdTree::build(&ds, &w, 10);
         assert!(tree.num_leaves() >= 1);
         let q = Query::count(vec![Predicate::eq(0, 7)]).unwrap();
-        assert_eq!(tree.execute(&q), AggResult::Count(1000));
+        assert_eq!(tree.execute(&q).0, AggResult::Count(1000));
     }
 
     #[test]

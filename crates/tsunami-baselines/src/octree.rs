@@ -325,14 +325,14 @@ mod tests {
             let dim = rng.next_below(3) as usize;
             let lo = rng.next_below(9_000);
             let q = Query::count(vec![Predicate::range(dim, lo, lo + 800).unwrap()]).unwrap();
-            assert_eq!(idx.execute(&q), q.execute_full_scan(&ds));
+            assert_eq!(idx.execute(&q).0, q.execute_full_scan(&ds));
         }
         let q = Query::count(vec![
             Predicate::range(0, 0, 5_000).unwrap(),
             Predicate::range(2, 2_000, 7_000).unwrap(),
         ])
         .unwrap();
-        assert_eq!(idx.execute(&q), q.execute_full_scan(&ds));
+        assert_eq!(idx.execute(&q).0, q.execute_full_scan(&ds));
     }
 
     #[test]
@@ -344,9 +344,9 @@ mod tests {
             Predicate::range(1, 0, 1_000).unwrap(),
         ])
         .unwrap();
-        let (res, stats) = idx.execute_with_stats(&q);
+        let (res, stats) = idx.execute(&q);
         assert_eq!(res, q.execute_full_scan(&ds));
-        assert!(stats.points_scanned < ds.len() / 4);
+        assert!(stats.points < ds.len() / 4);
     }
 
     #[test]
@@ -365,7 +365,7 @@ mod tests {
         let ds = data(2_000, 10, 55);
         let idx = HyperOctree::build(&ds, &Workload::default(), 200);
         let q = Query::count(vec![Predicate::range(7, 0, 5_000).unwrap()]).unwrap();
-        assert_eq!(idx.execute(&q), q.execute_full_scan(&ds));
+        assert_eq!(idx.execute(&q).0, q.execute_full_scan(&ds));
         assert!(idx.size_bytes() > 0);
         assert_eq!(idx.name(), "HyperOctree");
     }
@@ -375,6 +375,6 @@ mod tests {
         let ds = Dataset::from_columns(vec![vec![3u64; 1000], vec![3u64; 1000]]).unwrap();
         let idx = HyperOctree::build(&ds, &Workload::default(), 10);
         let q = Query::count(vec![Predicate::eq(0, 3)]).unwrap();
-        assert_eq!(idx.execute(&q), AggResult::Count(1000));
+        assert_eq!(idx.execute(&q).0, AggResult::Count(1000));
     }
 }

@@ -226,7 +226,7 @@ mod tests {
         let idx = ClusteredSingleDimIndex::build_on_dim(&ds, 0);
         for (lo, hi) in [(0u64, 99u64), (500, 700), (990, 2000), (1500, 1600)] {
             let q = Query::count(vec![Predicate::range(0, lo, hi).unwrap()]).unwrap();
-            assert_eq!(idx.execute(&q), q.execute_full_scan(&ds));
+            assert_eq!(idx.execute(&q).0, q.execute_full_scan(&ds));
         }
     }
 
@@ -239,10 +239,10 @@ mod tests {
             Predicate::range(1, 0, 300).unwrap(),
         ])
         .unwrap();
-        assert_eq!(idx.execute(&q), q.execute_full_scan(&ds));
+        assert_eq!(idx.execute(&q).0, q.execute_full_scan(&ds));
         // Query that does not filter the sort dimension -> full scan path.
         let q = Query::count(vec![Predicate::range(1, 0, 300).unwrap()]).unwrap();
-        assert_eq!(idx.execute(&q), q.execute_full_scan(&ds));
+        assert_eq!(idx.execute(&q).0, q.execute_full_scan(&ds));
     }
 
     #[test]
@@ -250,11 +250,11 @@ mod tests {
         let ds = data();
         let idx = ClusteredSingleDimIndex::build_on_dim(&ds, 0);
         let q = Query::count(vec![Predicate::range(0, 100, 150).unwrap()]).unwrap();
-        let (_, stats) = idx.execute_with_stats(&q);
-        assert!(stats.points_scanned < ds.len() / 2);
+        let (_, stats) = idx.execute(&q);
+        assert!(stats.points < ds.len() / 2);
         let q = Query::count(vec![Predicate::range(1, 100, 150).unwrap()]).unwrap();
-        let (_, stats) = idx.execute_with_stats(&q);
-        assert_eq!(stats.points_scanned, ds.len());
+        let (_, stats) = idx.execute(&q);
+        assert_eq!(stats.points, ds.len());
     }
 
     #[test]
@@ -279,20 +279,20 @@ mod tests {
 
         for (lo, hi) in [(0u64, 99u64), (400, 600), (990, 6_000)] {
             let q = Query::count(vec![Predicate::range(0, lo, hi).unwrap()]).unwrap();
-            assert_eq!(ingested.execute(&q), q.execute_full_scan(&merged));
+            assert_eq!(ingested.execute(&q).0, q.execute_full_scan(&merged));
         }
         // Residual elimination stays sound: the old whole-domain predicate
         // no longer covers the widened domain, so it must be re-checked (the
         // result must exclude the new out-of-domain rows).
         let (old_lo, old_hi) = ds.domain(1).unwrap();
         let q = Query::count(vec![Predicate::range(1, old_lo, old_hi).unwrap()]).unwrap();
-        assert_eq!(ingested.execute(&q), q.execute_full_scan(&merged));
+        assert_eq!(ingested.execute(&q).0, q.execute_full_scan(&merged));
         // And the *new* whole-domain predicate is dropped from the residual.
         let (lo, hi) = merged.domain(1).unwrap();
         let q = Query::count(vec![Predicate::range(1, lo, hi).unwrap()]).unwrap();
         let plan = ingested.plan(&q);
         assert!(plan.residual(&q).is_empty());
-        assert_eq!(ingested.execute(&q), q.execute_full_scan(&merged));
+        assert_eq!(ingested.execute(&q).0, q.execute_full_scan(&merged));
     }
 
     #[test]

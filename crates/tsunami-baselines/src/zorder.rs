@@ -274,7 +274,7 @@ mod tests {
             let dim = rng.next_below(3) as usize;
             let lo = rng.next_below(45_000);
             let q = Query::count(vec![Predicate::range(dim, lo, lo + 4_000).unwrap()]).unwrap();
-            assert_eq!(idx.execute(&q), q.execute_full_scan(&ds));
+            assert_eq!(idx.execute(&q).0, q.execute_full_scan(&ds));
         }
         // Multi-dim query.
         let q = Query::count(vec![
@@ -282,7 +282,7 @@ mod tests {
             Predicate::range(1, 10_000, 30_000).unwrap(),
         ])
         .unwrap();
-        assert_eq!(idx.execute(&q), q.execute_full_scan(&ds));
+        assert_eq!(idx.execute(&q).0, q.execute_full_scan(&ds));
     }
 
     #[test]
@@ -294,12 +294,12 @@ mod tests {
             Predicate::range(1, 1_000, 3_000).unwrap(),
         ])
         .unwrap();
-        let (res, stats) = idx.execute_with_stats(&q);
+        let (res, stats) = idx.execute(&q);
         assert_eq!(res, q.execute_full_scan(&ds));
         assert!(
-            stats.points_scanned < ds.len() / 2,
+            stats.points < ds.len() / 2,
             "scanned {} of {}",
-            stats.points_scanned,
+            stats.points,
             ds.len()
         );
     }
@@ -319,7 +319,7 @@ mod tests {
         let ds = data(1_000, 8, 45);
         let idx = ZOrderIndex::build(&ds, &Workload::default(), 64);
         let q = Query::count(vec![Predicate::range(5, 0, 25_000).unwrap()]).unwrap();
-        assert_eq!(idx.execute(&q), q.execute_full_scan(&ds));
+        assert_eq!(idx.execute(&q).0, q.execute_full_scan(&ds));
     }
 
     #[test]
@@ -327,6 +327,6 @@ mod tests {
         let ds = Dataset::from_columns(vec![vec![7u64; 500], (0..500u64).collect()]).unwrap();
         let idx = ZOrderIndex::build(&ds, &Workload::default(), 50);
         let q = Query::count(vec![Predicate::eq(0, 7)]).unwrap();
-        assert_eq!(idx.execute(&q), AggResult::Count(500));
+        assert_eq!(idx.execute(&q).0, AggResult::Count(500));
     }
 }

@@ -7,9 +7,9 @@
 //! ```
 //!
 //! `EXPERIMENT` is one of `table3`, `table4`, `fig7`, `fig7par`,
-//! `fig7sched`, `fig7net`, `fig8`, `fig9a`, `fig9b`, `fig10`, `fig11a`,
-//! `fig11b`, `fig12a`, `fig12b`, `fig12kern`, `figmv`, `walbench`,
-//! `check-bench`, or `all` (default). Run in release mode:
+//! `fig7net`, `fig8`, `fig9a`, `fig9b`, `fig10`, `fig11a`, `fig11b`,
+//! `fig12a`, `fig12b`, `fig12kern`, `figmv`, `walbench`, `check-bench`, or
+//! `all` (default). Run in release mode:
 //! `cargo run --release -p tsunami-bench --bin repro -- fig7`.
 //!
 //! `fig12kern` additionally writes machine-readable `BENCH_scan.json`
@@ -17,7 +17,7 @@
 //! overridable via the `BENCH_SCAN_JSON` env var), `fig9b` writes
 //! `BENCH_ingest.json` (ingest-vs-rebuild across batch sizes; override via
 //! `BENCH_INGEST_JSON`), and `fig7par` writes `BENCH_pool.json`
-//! (serial vs spawn-per-call vs pooled executor latency per dataset × index,
+//! (serial vs pooled executor latency per dataset × index,
 //! with the pool's worker count and morsel size; override via
 //! `BENCH_POOL_JSON`), and `fig7net` writes `BENCH_net.json` (open-loop
 //! QPS sweep over the sharded wire-protocol server: achieved QPS and
@@ -121,7 +121,7 @@ fn main() {
 
 fn print_usage() {
     eprintln!("usage: repro [EXPERIMENT] [--rows N] [--queries-per-type N] [--seed N]");
-    eprintln!("experiments: all, table3, table4, fig7, fig7par, fig7sched, fig7net, fig8, fig9a, fig9b, fig10, fig11a, fig11b, fig12a, fig12b, fig12kern, figmv, walbench, check-bench");
+    eprintln!("experiments: all, table3, table4, fig7, fig7par, fig7net, fig8, fig9a, fig9b, fig10, fig11a, fig11b, fig12a, fig12b, fig12kern, figmv, walbench, check-bench");
     eprintln!("fig12kern also writes BENCH_scan.json (override path with BENCH_SCAN_JSON); fig9b writes BENCH_ingest.json (BENCH_INGEST_JSON); fig7par writes BENCH_pool.json (BENCH_POOL_JSON); fig7net writes BENCH_net.json (BENCH_NET_JSON); figmv writes BENCH_matview.json (BENCH_MATVIEW_JSON); walbench writes BENCH_wal.json (BENCH_WAL_JSON)");
     eprintln!("fig7net tuning: TSUNAMI_SHARDS, TSUNAMI_NET_QPS (comma-separated sweep), TSUNAMI_NET_DURATION_MS, TSUNAMI_NET_CONNS");
     eprintln!("pool tuning: TSUNAMI_POOL_THREADS (workers), TSUNAMI_MORSEL_ROWS (rows per morsel); matview: TSUNAMI_MATVIEW=off disables materialized aggregates");

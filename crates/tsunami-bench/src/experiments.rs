@@ -10,15 +10,15 @@
 //! `MultiDimIndex` surface.
 
 use crate::harness::{
-    database_for, database_for_bundle, database_for_named, measure, measure_parallel,
-    measure_spawn, report, variant_specs, HarnessConfig,
+    database_for, database_for_bundle, database_for_named, measure, measure_parallel, report,
+    variant_specs, HarnessConfig,
 };
 use crate::table::{fmt_f64, Table};
 
 use std::time::Instant;
 
 use tsunami_core::CostModel;
-use tsunami_engine::{IndexSpec, Scheduler};
+use tsunami_engine::IndexSpec;
 use tsunami_flood::FloodIndex;
 use tsunami_index::augmented_grid::{optimize_layout, OptimizerKind};
 use tsunami_index::{IndexVariant, TsunamiIndex};
@@ -131,12 +131,11 @@ pub fn fig7(config: &HarnessConfig) -> String {
     finish(t)
 }
 
-/// Parallel-executor drill-down: serial vs spawn-per-call vs the persistent
-/// work-stealing pool on the learned indexes, with the executor counter
-/// invariant (parallel counters equal serial counters) checked for both
-/// parallel paths on every dataset. The spawn column is the pre-pool
-/// baseline (`execute_plan_spawn_tiered`, kept bench-only); the pooled
-/// column is what `execute_parallel` actually runs in production. The
+/// Parallel-executor drill-down: serial vs the persistent work-stealing
+/// pool on the learned indexes, with the executor counter invariant
+/// (parallel counters equal serial counters) checked on every dataset. The
+/// pooled column is what the scheduler's intra-query fan-out runs
+/// ([`tsunami_core::exec::fold_plan`] with the pool's worker count). The
 /// machine-readable results land in `BENCH_pool.json` (path overridable via
 /// the `BENCH_POOL_JSON` env var) so the pool's perf trajectory is tracked
 /// across PRs.
@@ -151,39 +150,34 @@ fn fig7_parallel_impl(config: &HarnessConfig, json_path: Option<&std::path::Path
     let threads = pool.worker_count();
     let morsel_rows = pool.morsel_rows();
     let mut t = Table::new(
-        "Fig 7 (parallel): Serial vs spawn-per-call vs pooled executor (avg query us)",
+        "Fig 7 (parallel): Serial vs pooled executor (avg query us)",
         &[
             "dataset",
             "index",
             "serial (us)",
-            "spawn (us)",
             "pooled (us)",
             "workers",
             "morsel rows",
             "avg points scanned",
         ],
     );
-    // (dataset, index, serial us, spawn us, pooled us)
-    let mut entries: Vec<(String, String, f64, f64, f64)> = Vec::new();
+    // (dataset, index, serial us, pooled us)
+    let mut entries: Vec<(String, String, f64, f64)> = Vec::new();
     for b in &bundles {
         let db = database_for_bundle(b, &config.learned_specs());
         for table in db.tables() {
             let serial = measure(table.index(), &b.workload);
-            let spawn = measure_spawn(table.index(), &b.workload, threads);
             let pooled = measure_parallel(table.index(), &b.workload, threads);
-            for (label, parallel) in [("spawn", &spawn), ("pooled", &pooled)] {
-                assert_eq!(
-                    (serial.avg_points_scanned, serial.avg_ranges_scanned),
-                    (parallel.avg_points_scanned, parallel.avg_ranges_scanned),
-                    "{label} executor counters diverged from serial on {}",
-                    b.name
-                );
-            }
+            assert_eq!(
+                (serial.avg_points_scanned, serial.avg_ranges_scanned),
+                (pooled.avg_points_scanned, pooled.avg_ranges_scanned),
+                "pooled executor counters diverged from serial on {}",
+                b.name
+            );
             t.add_row(vec![
                 b.name.to_string(),
                 table.name().to_string(),
                 fmt_f64(serial.avg_query_us),
-                fmt_f64(spawn.avg_query_us),
                 fmt_f64(pooled.avg_query_us),
                 threads.to_string(),
                 morsel_rows.to_string(),
@@ -193,7 +187,6 @@ fn fig7_parallel_impl(config: &HarnessConfig, json_path: Option<&std::path::Path
                 b.name.to_string(),
                 table.name().to_string(),
                 serial.avg_query_us,
-                spawn.avg_query_us,
                 pooled.avg_query_us,
             ));
         }
@@ -216,15 +209,15 @@ fn fig7_parallel_impl(config: &HarnessConfig, json_path: Option<&std::path::Path
 
 /// Hand-rolled (the workspace is offline — no serde) machine-readable dump
 /// of the parallel-executor benchmark: average query latency per
-/// (dataset, index) under the serial, spawn-per-call, and pooled executors,
-/// plus the pool geometry the run used.
+/// (dataset, index) under the serial and pooled executors, plus the pool
+/// geometry the run used.
 fn write_bench_pool_json(
     path: &std::path::Path,
     rows: usize,
     seed: u64,
     workers: usize,
     morsel_rows: usize,
-    entries: &[(String, String, f64, f64, f64)],
+    entries: &[(String, String, f64, f64)],
 ) -> std::io::Result<()> {
     let mut s = String::new();
     s.push_str("{\n");
@@ -232,81 +225,15 @@ fn write_bench_pool_json(
         "  \"experiment\": \"fig7par\",\n  \"rows\": {rows},\n  \"seed\": {seed},\n  \
          \"workers\": {workers},\n  \"morsel_rows\": {morsel_rows},\n  \"entries\": [\n"
     ));
-    for (i, (dataset, index, serial, spawn, pooled)) in entries.iter().enumerate() {
+    for (i, (dataset, index, serial, pooled)) in entries.iter().enumerate() {
         let comma = if i + 1 == entries.len() { "" } else { "," };
         s.push_str(&format!(
             "    {{\"dataset\": \"{dataset}\", \"index\": \"{index}\", \
-             \"serial_us\": {serial:.3}, \"spawn_us\": {spawn:.3}, \
-             \"pooled_us\": {pooled:.3}}}{comma}\n"
+             \"serial_us\": {serial:.3}, \"pooled_us\": {pooled:.3}}}{comma}\n"
         ));
     }
     s.push_str("  ]\n}\n");
     std::fs::write(path, s)
-}
-
-/// Multi-client throughput: many independent fig7-workload queries executed
-/// concurrently by the engine's [`Scheduler`], sweeping the worker count.
-/// This measures *inter-query* parallelism over the `Sync` store — the
-/// serving-scale complement to `fig7par`'s intra-query parallelism. Since
-/// the scheduler became a facade over the process-wide work-stealing pool,
-/// "workers" is the cap on concurrent drainer tasks, not a thread count —
-/// speedup saturates at `min(workers, pool workers)`. A correctness check
-/// compares every scheduler result against serial execution.
-pub fn fig7_scheduler(config: &HarnessConfig) -> String {
-    let bundles = standard_bundles(config);
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let pool_workers = tsunami_core::exec::pool::global().worker_count();
-    let mut t = Table::new(
-        "Fig 7 (scheduler): Multi-client throughput over a Tsunami table (QPS vs workers)",
-        &[
-            "dataset",
-            "workers",
-            "batch QPS",
-            "speedup vs 1 worker",
-            "pool workers",
-            "host cores",
-        ],
-    );
-    // A batch large enough to keep every worker busy for a measurable span.
-    const MIN_BATCH: usize = 512;
-    for b in &bundles {
-        let db = database_for_bundle(b, &[IndexSpec::Tsunami(config.tsunami_config())]);
-        let table = db.table("Tsunami").expect("registered above");
-        let prepared = table.prepare_workload(&b.workload).expect("validated");
-        if prepared.is_empty() {
-            continue;
-        }
-        let mut batch = Vec::with_capacity(MIN_BATCH + prepared.len());
-        while batch.len() < MIN_BATCH {
-            batch.extend(prepared.iter().cloned());
-        }
-        let mut base_qps = f64::NAN;
-        for &workers in &[1usize, 2, 4, 8] {
-            let scheduler = Scheduler::new(workers);
-            // Warm-up, plus the correctness check: scheduler == serial.
-            let warm = scheduler.execute_batch(&prepared).expect("warm-up batch");
-            for (result, q) in warm.iter().zip(&prepared) {
-                assert_eq!(*result, q.execute(), "scheduler diverged from serial");
-            }
-            let start = Instant::now();
-            let results = scheduler.execute_batch(&batch).expect("measured batch");
-            let elapsed = start.elapsed().as_secs_f64();
-            assert_eq!(results.len(), batch.len());
-            let qps = batch.len() as f64 / elapsed.max(1e-12);
-            if workers == 1 {
-                base_qps = qps;
-            }
-            t.add_row(vec![
-                b.name.to_string(),
-                workers.to_string(),
-                fmt_f64(qps),
-                fmt_f64(qps / base_qps),
-                pool_workers.to_string(),
-                host_cores.to_string(),
-            ]);
-        }
-    }
-    finish(t)
 }
 
 /// Fig 8: index sizes.
@@ -521,8 +448,8 @@ fn fig9b_ingest_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>
             // Correctness cross-check doubling as warm-up.
             for q in workload.queries().iter().step_by(5) {
                 assert_eq!(
-                    ingested.execute(q),
-                    rebuilt.execute(q),
+                    ingested.execute(q).0,
+                    rebuilt.execute(q).0,
                     "{family} ingest diverged from rebuild on {q:?}"
                 );
             }
@@ -769,7 +696,7 @@ pub fn fig12kern(config: &HarnessConfig) -> String {
 }
 
 fn fig12kern_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -> String {
-    use tsunami_core::exec::{execute_plan_tiered, KernelTier, ScanPlan, ScanSource};
+    use tsunami_core::exec::{fold_plan, pool, KernelTier, ScanPlan, ScanSource};
     use tsunami_core::sample::SplitMix;
     use tsunami_core::{Aggregation, Dataset, Predicate, Query};
     use tsunami_store::{ColumnStore, EncodePolicy};
@@ -832,7 +759,15 @@ fn fig12kern_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -
                 ("sum", Aggregation::Sum(PRED_DIMS - 1)),
             ] {
                 let q = Query::new(preds.clone(), agg).expect("valid query");
-                let scalar_result = execute_plan_tiered(&data, &q, &plan, KernelTier::Scalar);
+                // Serial execution pinned to one tier (one thread: the pool
+                // is never used).
+                let run = |source: &dyn ScanSource, tier| {
+                    let pool = pool::global();
+                    let (acc, counters) =
+                        fold_plan(source, &q, &plan, tier, pool, 1, pool.morsel_rows());
+                    (acc.finish(), counters)
+                };
+                let scalar_result = run(&data, KernelTier::Scalar);
                 let sources: [(&'static str, &dyn ScanSource); 2] =
                     [("plain", &data), ("encoded", &store)];
                 for (enc_label, source) in sources {
@@ -842,14 +777,14 @@ fn fig12kern_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -
                         // tier × encoding must match the plain scalar
                         // oracle, counters included.
                         assert_eq!(
-                            execute_plan_tiered(source, &q, &plan, tier),
+                            run(source, tier),
                             scalar_result,
                             "{tier:?} on {enc_label} diverged from the scalar oracle"
                         );
                         let mut samples: Vec<f64> = (0..reps)
                             .map(|_| {
                                 let start = Instant::now();
-                                std::hint::black_box(execute_plan_tiered(source, &q, &plan, tier));
+                                std::hint::black_box(run(source, tier));
                                 start.elapsed().as_nanos() as f64 / rows as f64
                             })
                             .collect();
@@ -991,16 +926,13 @@ fn figmv_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -> St
                 .expect("sweep query");
             // Cross-check doubling as warm-up (and as the cube's lazy fold):
             // materialized and scan answers must be bit-identical.
-            let (mv_res, mv_stats) = mv.execute_with_stats(&q);
-            let (scan_res, scan_stats) = scan.execute_with_stats(&q);
+            let (mv_res, mv_stats) = mv.execute(&q);
+            let (scan_res, scan_stats) = scan.execute(&q);
             assert_eq!(mv_res, scan_res, "matview diverged from scan on {q:?}");
             if pct == 100.0 {
                 // The near-O(1) claim: a whole-domain query is answered
                 // entirely from partials — no rows visited at all.
-                assert_eq!(
-                    mv_stats.points_scanned, 0,
-                    "a fully covered query must not scan"
-                );
+                assert_eq!(mv_stats.points, 0, "a fully covered query must not scan");
             }
             let med = |idx: &TsunamiIndex| {
                 let mut samples: Vec<f64> = (0..reps)
@@ -1021,8 +953,8 @@ fn figmv_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -> St
                 fmt_f64(mv_us),
                 fmt_f64(scan_us),
                 fmt_f64(scan_us / mv_us.max(1e-9)),
-                mv_stats.points_scanned.to_string(),
-                scan_stats.points_scanned.to_string(),
+                mv_stats.points.to_string(),
+                scan_stats.points.to_string(),
             ]);
             entries.push((pct, agg_label, "matview", mv_us));
             entries.push((pct, agg_label, "scan", scan_us));
@@ -1345,7 +1277,6 @@ pub fn experiments() -> Vec<(&'static str, fn(&HarnessConfig) -> String)> {
         ("table4", table4),
         ("fig7", fig7),
         ("fig7par", fig7_parallel),
-        ("fig7sched", fig7_scheduler),
         ("fig7net", crate::net::fig7net),
         ("fig8", fig8),
         ("fig9a", fig9a),
@@ -1397,7 +1328,6 @@ mod tests {
                 "table4",
                 "fig7",
                 "fig7par",
-                "fig7sched",
                 "fig7net",
                 "fig8",
                 "fig9a",
@@ -1574,24 +1504,13 @@ mod tests {
     }
 
     #[test]
-    fn fig7_scheduler_sweeps_worker_counts() {
-        let mut cfg = tiny();
-        cfg.rows = 2_000;
-        let out = fig7_scheduler(&cfg);
-        for workers in ["1", "2", "4", "8"] {
-            assert!(out.contains(workers), "missing worker row {workers}");
-        }
-        assert!(out.contains("QPS"));
-    }
-
-    #[test]
-    fn fig7_parallel_reports_all_three_executors() {
-        // Tiny run, no JSON: the impl itself asserts that both the spawn
-        // baseline's and the pool's counters match serial while measuring.
+    fn fig7_parallel_reports_serial_and_pooled_executors() {
+        // Tiny run, no JSON: the impl itself asserts that the pool's
+        // counters match serial while measuring.
         let mut cfg = tiny();
         cfg.rows = 2_000;
         let out = fig7_parallel_impl(&cfg, None);
-        for col in ["serial (us)", "spawn (us)", "pooled (us)", "morsel rows"] {
+        for col in ["serial (us)", "pooled (us)", "morsel rows"] {
             assert!(out.contains(col), "missing column {col} in:\n{out}");
         }
     }
@@ -1678,7 +1597,7 @@ mod tests {
             7,
             4,
             131072,
-            &[("Taxi".to_string(), "Tsunami".to_string(), 100.0, 80.0, 60.0)],
+            &[("Taxi".to_string(), "Tsunami".to_string(), 100.0, 60.0)],
         )
         .unwrap();
         let s = std::fs::read_to_string(&path).unwrap();

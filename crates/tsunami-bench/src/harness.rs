@@ -124,39 +124,38 @@ pub struct Measurement {
 
 /// Measures average query latency and the shared executor's scan counters.
 pub fn measure(index: &dyn MultiDimIndex, workload: &Workload) -> Measurement {
-    measure_with(workload, |q| index.execute_with_stats(q))
+    measure_with(workload, |q| index.execute(q))
 }
 
-/// Like [`measure`], but running every query through the parallel executor
-/// with `threads` worker threads.
+/// Like [`measure`], but running every query through
+/// [`tsunami_core::exec::fold_plan`] on `threads` workers of the
+/// process-wide pool.
 pub fn measure_parallel(
     index: &dyn MultiDimIndex,
     workload: &Workload,
     threads: usize,
 ) -> Measurement {
-    measure_with(workload, |q| index.execute_parallel(q, threads))
+    measure_with(workload, |q| execute_pooled(index, q, threads))
 }
 
-/// Like [`measure_parallel`], but through the spawn-per-call baseline
-/// executor ([`tsunami_core::exec::execute_plan_spawn_tiered`]) instead of
-/// the persistent work-stealing pool. Benchmarks use this to quantify what
-/// the pool saves per query; nothing on a query hot path calls it.
-pub fn measure_spawn(
+/// One query through `fold_plan` on `threads` workers of the process-wide
+/// pool, with the default kernels.
+fn execute_pooled(
     index: &dyn MultiDimIndex,
-    workload: &Workload,
+    q: &tsunami_core::Query,
     threads: usize,
-) -> Measurement {
-    use tsunami_core::exec::{execute_plan_spawn_tiered, KernelTier};
-    measure_with(workload, |q| {
-        let (result, counters) = execute_plan_spawn_tiered(
-            index.source(),
-            q,
-            &index.plan(q),
-            threads,
-            KernelTier::default(),
-        );
-        (result, counters.into())
-    })
+) -> (tsunami_core::AggResult, tsunami_core::ScanCounters) {
+    let pool = tsunami_core::exec::pool::global();
+    let (acc, counters) = tsunami_core::exec::fold_plan(
+        index.source(),
+        q,
+        &index.plan(q),
+        tsunami_core::KernelTier::default(),
+        pool,
+        threads,
+        pool.morsel_rows(),
+    );
+    (acc.finish(), counters)
 }
 
 /// Shared measurement loop: warm-up, one counter-collecting pass, then one
@@ -164,7 +163,7 @@ pub fn measure_spawn(
 /// parallel measurements stay methodologically identical.
 fn measure_with(
     workload: &Workload,
-    execute: impl Fn(&tsunami_core::Query) -> (tsunami_core::AggResult, tsunami_core::IndexStats),
+    execute: impl Fn(&tsunami_core::Query) -> (tsunami_core::AggResult, tsunami_core::ScanCounters),
 ) -> Measurement {
     if workload.is_empty() {
         return Measurement::default();
@@ -177,8 +176,8 @@ fn measure_with(
     let mut ranges = 0usize;
     for q in workload.queries() {
         let (_, stats) = execute(q);
-        points += stats.points_scanned;
-        ranges += stats.ranges_scanned;
+        points += stats.points;
+        ranges += stats.ranges;
     }
     let start = Instant::now();
     for q in workload.queries() {
@@ -326,8 +325,8 @@ mod tests {
         for q in bundle.workload.queries().iter().step_by(5) {
             for table in db.tables() {
                 let idx = table.index();
-                let (serial, serial_stats) = idx.execute_with_stats(q);
-                let (parallel, parallel_stats) = idx.execute_parallel(q, 4);
+                let (serial, serial_stats) = idx.execute(q);
+                let (parallel, parallel_stats) = execute_pooled(idx, q, 4);
                 assert_eq!(serial, parallel, "{} result on {q:?}", table.name());
                 assert_eq!(
                     serial_stats,

@@ -9,8 +9,7 @@
 //!
 //! All query-execution experiments run through the `tsunami-engine`
 //! `Database` facade: one table per index family, measured through table
-//! handles. `fig7sched` additionally sweeps the engine's concurrent query
-//! [`tsunami_engine::Scheduler`] (multi-client throughput, QPS vs workers).
+//! handles.
 
 pub mod experiments;
 pub mod harness;

@@ -1,8 +1,7 @@
 //! Simple least-squares linear regression over `u64` pairs.
 //!
-//! Used as the leaf model of the RMI and as the backbone of functional
-//! mappings (§5.2.1: "we implement the mapping function as a simple linear
-//! regression").
+//! The backbone of functional mappings (§5.2.1: "we implement the mapping
+//! function as a simple linear regression").
 
 use tsunami_core::Value;
 

@@ -76,11 +76,26 @@
 //! so concurrent queries against one source can never corrupt each other's
 //! statistics.
 //!
+//! # Entry points
+//!
+//! Every read in the workspace runs through one of two functions:
+//!
+//! * [`execute_plan`] — the serial loop with the default
+//!   [`KernelTier::Adaptive`] kernels, returning the finished [`AggResult`].
+//!   Every engine read (`Table::execute`, `MultiDimIndex::execute`) takes
+//!   this path; it never touches a pool.
+//! * [`fold_plan`] — the same plan folded into an unfinished
+//!   [`AggAccumulator`] with an explicit tier, pool, thread count and morsel
+//!   size. The engine scheduler's completion slots and materialized views
+//!   hold this partial state, and the sharded gather merges it across shards
+//!   with [`AggAccumulator::merge`]; benchmarks and differential tests use
+//!   it to pin a tier or a pool.
+//!
 //! # Parallel execution: morsels on one persistent pool
 //!
-//! [`execute_plan_parallel`] runs the same plan across the process-wide
-//! work-stealing pool ([`pool`]; std-only — the container has no rayon). The
-//! plan's ranges are decomposed into fixed-size cache-resident **morsels**
+//! With `threads > 1`, [`fold_plan`] runs the plan across a work-stealing
+//! pool ([`pool`]; std-only — the container has no rayon). The plan's
+//! ranges are decomposed into fixed-size cache-resident **morsels**
 //! (~[`pool::DEFAULT_MORSEL_ROWS`] rows, tunable via `TSUNAMI_MORSEL_ROWS`)
 //! which the participating workers claim from a shared cursor; each worker
 //! keeps a private [`AggAccumulator`] and [`ScanCounters`], merged once at
@@ -91,11 +106,6 @@
 //! lives in thread-local storage (reused across queries on pool workers),
 //! and each worker keeps its own adaptive-density estimate; the estimate
 //! only steers representation choice, never results.
-//!
-//! The spawn-per-call executor this replaced survives as
-//! [`execute_plan_spawn_tiered`], exclusively as the benchmark baseline that
-//! `fig7par` measures the pool's spawn-amortization win against. No query
-//! hot path calls it.
 //!
 //! Data access is abstracted behind [`ScanSource`] (rows of `u64` columns),
 //! implemented by both the logical [`Dataset`] and the
@@ -563,24 +573,26 @@ fn apply_partials(plan: &ScanPlan, acc: &mut AggAccumulator, counters: &mut Scan
 /// kernels.
 ///
 /// Returns the aggregation result together with the counters for exactly
-/// this execution.
+/// this execution. This is the loop every engine read runs: it never touches
+/// a pool and allocates one [`BlockScratch`] per call.
 pub fn execute_plan(
     source: &dyn ScanSource,
     query: &Query,
     plan: &ScanPlan,
 ) -> (AggResult, ScanCounters) {
-    execute_plan_tiered(source, query, plan, KernelTier::default())
+    let (acc, counters) = fold_serial(source, query, plan, KernelTier::default());
+    (acc.finish(), counters)
 }
 
-/// Executes a plan serially with an explicit kernel tier. All tiers return
-/// bit-identical results and counters; benchmarks and differential tests use
-/// this to pin a tier.
-pub fn execute_plan_tiered(
+/// The serial range loop behind [`execute_plan`] (and behind [`fold_plan`]
+/// whenever a plan is not worth splitting), returning the unfinished
+/// accumulator.
+fn fold_serial(
     source: &dyn ScanSource,
     query: &Query,
     plan: &ScanPlan,
     tier: KernelTier,
-) -> (AggResult, ScanCounters) {
+) -> (AggAccumulator, ScanCounters) {
     let plan = plan.clamped(source.num_rows());
     let resolved = ResolvedQuery::new(source, plan.residual(query), query.aggregation());
     let mut acc = AggAccumulator::new(query.aggregation());
@@ -600,7 +612,7 @@ pub fn execute_plan_tiered(
         );
     }
     apply_partials(&plan, &mut acc, &mut counters);
-    (acc.finish(), counters)
+    (acc, counters)
 }
 
 thread_local! {
@@ -624,34 +636,6 @@ fn with_thread_scratch<R>(f: impl FnOnce(&mut BlockScratch) -> R) -> R {
     })
 }
 
-/// Executes a plan across up to `threads` workers of the process-wide
-/// work-stealing pool with the default [`KernelTier::Adaptive`] kernels.
-pub fn execute_plan_parallel(
-    source: &dyn ScanSource,
-    query: &Query,
-    plan: &ScanPlan,
-    threads: usize,
-) -> (AggResult, ScanCounters) {
-    execute_plan_parallel_tiered(source, query, plan, threads, KernelTier::default())
-}
-
-/// Executes a plan across up to `threads` workers of the process-wide
-/// work-stealing pool with an explicit kernel tier.
-///
-/// Routes through [`execute_plan_pooled_tiered`] on [`pool::global`] with
-/// the pool's configured morsel size; see the module docs for the morsel
-/// decomposition and the bit-identity guarantee.
-pub fn execute_plan_parallel_tiered(
-    source: &dyn ScanSource,
-    query: &Query,
-    plan: &ScanPlan,
-    threads: usize,
-    tier: KernelTier,
-) -> (AggResult, ScanCounters) {
-    let pool = pool::global();
-    execute_plan_pooled_tiered(source, query, plan, pool, threads, pool.morsel_rows(), tier)
-}
-
 /// Splits a plan's ranges into morsel work units of
 /// `(range, exact, counts_as_new_range)`. Only the first morsel carved from
 /// a plan range increments the range counter, keeping [`ScanCounters`]
@@ -671,36 +655,42 @@ fn split_morsels(plan: &ScanPlan, morsel_rows: usize) -> Vec<(Range<usize>, bool
     units
 }
 
-/// Executes a plan on an explicit [`WorkStealingPool`] with an explicit
-/// morsel size — the fully parameterized form [`execute_plan_parallel_tiered`]
-/// routes through, exposed for the pool stress tests and the morsel-size
-/// sweep in `fig7par`.
+/// Folds a plan into an unfinished [`AggAccumulator`] with an explicit
+/// kernel tier, on up to `threads` participants of `pool`, splitting the
+/// plan into morsels of about `morsel_rows` rows.
 ///
-/// The plan is decomposed into cache-resident morsels (clamped to at least
-/// one [`BLOCK_ROWS`] block; shrunk below `morsel_rows` only when the plan
-/// is too small to give every participant a morsel). Up to `threads - 1`
-/// pool workers join the calling thread; every participant claims morsels
-/// from a shared cursor and folds them into a private [`AggAccumulator`] and
-/// [`ScanCounters`] with thread-local [`BlockScratch`], merged once at the
-/// end. Merging is commutative and associative, so results and counters are
-/// bit-identical to [`execute_plan_tiered`] for any worker count, morsel
-/// size, and completion order.
-pub fn execute_plan_pooled_tiered(
+/// The engine scheduler's completion slots and materialized views hold this
+/// partial state, and the sharded gather merges it across shards with
+/// [`AggAccumulator::merge`]. [`AggAccumulator::finish`] turns it into the
+/// same [`AggResult`] [`execute_plan`] returns.
+///
+/// With `threads <= 1`, or a plan under four [`BLOCK_ROWS`] blocks, this is
+/// the serial loop of [`execute_plan`] and `pool` is not touched. Otherwise
+/// the plan is decomposed into cache-resident morsels (clamped to at least
+/// one block; shrunk below `morsel_rows` only when the plan is too small to
+/// give every participant a morsel). Up to `threads - 1` pool workers join
+/// the calling thread; every participant claims morsels from a shared
+/// cursor and folds them into a private accumulator and [`ScanCounters`]
+/// with thread-local [`BlockScratch`], merged once at the end. Merging is
+/// commutative and associative, so results and counters are bit-identical
+/// to the serial loop for any tier, worker count, morsel size and
+/// completion order.
+pub fn fold_plan(
     source: &dyn ScanSource,
     query: &Query,
     plan: &ScanPlan,
+    tier: KernelTier,
     pool: &WorkStealingPool,
     threads: usize,
     morsel_rows: usize,
-    tier: KernelTier,
-) -> (AggResult, ScanCounters) {
+) -> (AggAccumulator, ScanCounters) {
     let threads = threads.max(1);
     let plan = plan.clamped(source.num_rows());
     let plan = plan.as_ref();
     let total = plan.total_points();
     // Parallelism only pays off once there is real work to split.
     if threads == 1 || total < 4 * BLOCK_ROWS {
-        return execute_plan_tiered(source, query, plan, tier);
+        return fold_serial(source, query, plan, tier);
     }
     // Cache-resident fixed-size morsels; for plans smaller than
     // threads × morsel_rows, shrink so every participant gets work.
@@ -712,7 +702,7 @@ pub fn execute_plan_pooled_tiered(
         .saturating_sub(1)
         .min(pool.worker_count());
     if helpers == 0 {
-        return execute_plan_tiered(source, query, plan, tier);
+        return fold_serial(source, query, plan, tier);
     }
 
     let agg = query.aggregation();
@@ -746,78 +736,7 @@ pub fn execute_plan_pooled_tiered(
     });
     let (mut acc, mut counters) = merged.into_inner().unwrap();
     apply_partials(plan, &mut acc, &mut counters);
-    (acc.finish(), counters)
-}
-
-/// The pre-pool executor: spawns fresh scoped threads for every call.
-///
-/// Kept **only** as the benchmark baseline `fig7par` compares the
-/// persistent pool against (spawn latency vs. amortized submission); no
-/// query hot path calls this. Results and counters are bit-identical to
-/// [`execute_plan_tiered`] for the same reasons as the pooled executor.
-pub fn execute_plan_spawn_tiered(
-    source: &dyn ScanSource,
-    query: &Query,
-    plan: &ScanPlan,
-    threads: usize,
-    tier: KernelTier,
-) -> (AggResult, ScanCounters) {
-    let threads = threads.max(1);
-    let plan = plan.clamped(source.num_rows());
-    let plan = plan.as_ref();
-    let total = plan.total_points();
-    if threads == 1 || total < 4 * BLOCK_ROWS {
-        return execute_plan_tiered(source, query, plan, tier);
-    }
-
-    let piece = (total / (threads * 4)).max(BLOCK_ROWS);
-    let units = split_morsels(plan, piece);
-    let agg = query.aggregation();
-    let resolved = ResolvedQuery::new(source, plan.residual(query), agg);
-    let next_unit = AtomicUsize::new(0);
-    let mut acc = AggAccumulator::new(agg);
-    let mut counters = ScanCounters::default();
-
-    std::thread::scope(|scope| {
-        // Never spawn more workers than there are units to claim.
-        let workers: Vec<_> = (0..threads.min(units.len()))
-            .map(|_| {
-                let units = &units;
-                let next_unit = &next_unit;
-                let resolved = &resolved;
-                scope.spawn(move || {
-                    let mut acc = AggAccumulator::new(agg);
-                    let mut counters = ScanCounters::default();
-                    let mut scratch = BlockScratch::new();
-                    let mut density = Density::default();
-                    loop {
-                        let i = next_unit.fetch_add(1, Ordering::Relaxed);
-                        let Some((range, exact, count_range)) = units.get(i).cloned() else {
-                            break;
-                        };
-                        resolved.scan_range(
-                            range,
-                            exact,
-                            count_range,
-                            tier,
-                            &mut density,
-                            &mut acc,
-                            &mut counters,
-                            &mut scratch,
-                        );
-                    }
-                    (acc, counters)
-                })
-            })
-            .collect();
-        for worker in workers {
-            let (worker_acc, worker_counters) = worker.join().expect("scan worker panicked");
-            acc.merge(&worker_acc);
-            counters.merge(&worker_counters);
-        }
-    });
-    apply_partials(plan, &mut acc, &mut counters);
-    (acc.finish(), counters)
+    (acc, counters)
 }
 
 /// The block representation the adaptive tier settles on for one block.
@@ -1404,37 +1323,6 @@ fn packed_payload(eb: &EncodedBlock) -> (&[u64], PackClass) {
     }
 }
 
-/// Scans one contiguous range into an accumulator with the default kernels.
-///
-/// One-shot form of the kernel shared by both executors, used by
-/// `ColumnStore::scan_range` for direct single-range scans. Unlike the plan
-/// executors (which clamp once at entry), this clamps the given range itself.
-/// Callers scanning many ranges of one query should go through
-/// [`execute_plan`], which resolves the query's columns once.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_range_into(
-    source: &dyn ScanSource,
-    residual: &[Predicate],
-    range: Range<usize>,
-    exact: bool,
-    count_range: bool,
-    acc: &mut AggAccumulator,
-    counters: &mut ScanCounters,
-    scratch: &mut BlockScratch,
-) {
-    let range = range.start.min(source.num_rows())..range.end.min(source.num_rows());
-    ResolvedQuery::new(source, residual, acc.aggregation()).scan_range(
-        range,
-        exact,
-        count_range,
-        KernelTier::default(),
-        &mut Density::default(),
-        acc,
-        counters,
-        scratch,
-    );
-}
-
 /// The aggregation input for one grid chunk, with **chunk-local** row
 /// indexing (index `i` = physical row `chunk_start + i`): a plain slice, a
 /// window into an encoded block's packed payload, or nothing (`COUNT`, or
@@ -1602,6 +1490,20 @@ mod tests {
         Query::count(preds).unwrap()
     }
 
+    /// Executes through [`fold_plan`] on the global pool with a pinned tier
+    /// and thread count, finishing the partial state.
+    fn run(
+        source: &dyn ScanSource,
+        q: &Query,
+        plan: &ScanPlan,
+        tier: KernelTier,
+        threads: usize,
+    ) -> (AggResult, ScanCounters) {
+        let pool = pool::global();
+        let (acc, counters) = fold_plan(source, q, plan, tier, pool, threads, pool.morsel_rows());
+        (acc.finish(), counters)
+    }
+
     #[test]
     fn plan_push_merges_adjacent_equal_exactness() {
         let mut plan = ScanPlan::new();
@@ -1676,10 +1578,9 @@ mod tests {
                 agg,
             )
             .unwrap();
-            let (expected, expected_counters) =
-                execute_plan_tiered(&ds, &q, &plan, KernelTier::Scalar);
+            let (expected, expected_counters) = run(&ds, &q, &plan, KernelTier::Scalar, 1);
             for tier in KernelTier::ALL {
-                let (res, counters) = execute_plan_tiered(&ds, &q, &plan, tier);
+                let (res, counters) = run(&ds, &q, &plan, tier, 1);
                 assert_eq!(res, expected, "{agg:?} via {tier:?}");
                 assert_eq!(counters, expected_counters, "{agg:?} counters via {tier:?}");
             }
@@ -1699,8 +1600,7 @@ mod tests {
             Aggregation::Avg(1),
         ] {
             let q = Query::new(preds.clone(), agg).unwrap();
-            let (res, _) =
-                execute_plan_tiered(&ds, &q, &ScanPlan::full(ds.len()), KernelTier::Bitmap);
+            let (res, _) = run(&ds, &q, &ScanPlan::full(ds.len()), KernelTier::Bitmap, 1);
             assert_eq!(res, q.execute_full_scan(&ds), "{agg:?}");
         }
     }
@@ -1715,8 +1615,7 @@ mod tests {
         let ds = Dataset::from_columns(vec![(0..n).map(|v| v % 10).collect()]).unwrap();
         let q = count(vec![Predicate::range(0, 1, 9).unwrap()]);
         let expected = q.execute_full_scan(&ds);
-        let (res, counters) =
-            execute_plan_tiered(&ds, &q, &ScanPlan::full(ds.len()), KernelTier::Adaptive);
+        let (res, counters) = run(&ds, &q, &ScanPlan::full(ds.len()), KernelTier::Adaptive, 1);
         assert_eq!(res, expected);
         assert_eq!(Some(counters.matched as u64), expected.as_count());
     }
@@ -1818,8 +1717,7 @@ mod tests {
             let (serial, serial_counters) = execute_plan(&ds, &q, &plan);
             for threads in [2, 3, 8] {
                 for tier in KernelTier::ALL {
-                    let (parallel, parallel_counters) =
-                        execute_plan_parallel_tiered(&ds, &q, &plan, threads, tier);
+                    let (parallel, parallel_counters) = run(&ds, &q, &plan, tier, threads);
                     assert_eq!(parallel, serial, "{agg:?} with {threads} threads {tier:?}");
                     assert_eq!(
                         parallel_counters, serial_counters,
@@ -1828,23 +1726,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn spawn_baseline_matches_serial_results_and_counters() {
-        let n = 20_000u64;
-        let ds = Dataset::from_columns(vec![(0..n).collect(), (0..n).map(|v| v % 777).collect()])
-            .unwrap();
-        let q = Query::new(
-            vec![Predicate::range(1, 50, 600).unwrap()],
-            Aggregation::Sum(0),
-        )
-        .unwrap();
-        let plan = ScanPlan::from_ranges([(0..9_000, false), (9_500..20_000, false)]);
-        let (serial, sc) = execute_plan(&ds, &q, &plan);
-        let (spawned, pc) = execute_plan_spawn_tiered(&ds, &q, &plan, 4, KernelTier::default());
-        assert_eq!(serial, spawned);
-        assert_eq!(sc, pc);
     }
 
     #[test]
@@ -1872,16 +1753,16 @@ mod tests {
         let pool = WorkStealingPool::new(2);
         for morsel in [BLOCK_ROWS, BLOCK_ROWS + 1, 1_500, 3 * BLOCK_ROWS + 17] {
             for threads in [2, 5] {
-                let (pooled, pc) = execute_plan_pooled_tiered(
+                let (pooled, pc) = fold_plan(
                     &ds,
                     &q,
                     &plan,
+                    KernelTier::default(),
                     &pool,
                     threads,
                     morsel,
-                    KernelTier::default(),
                 );
-                assert_eq!(serial, pooled, "morsel={morsel} threads={threads}");
+                assert_eq!(serial, pooled.finish(), "morsel={morsel} threads={threads}");
                 assert_eq!(sc, pc, "counters morsel={morsel} threads={threads}");
             }
         }
@@ -1893,7 +1774,7 @@ mod tests {
         let q = count(vec![Predicate::range(0, 0, 99).unwrap()]);
         let plan = ScanPlan::full(ds.len());
         let (serial, sc) = execute_plan(&ds, &q, &plan);
-        let (parallel, pc) = execute_plan_parallel(&ds, &q, &plan, 8);
+        let (parallel, pc) = run(&ds, &q, &plan, KernelTier::default(), 8);
         assert_eq!(serial, parallel);
         assert_eq!(sc, pc);
     }
@@ -1971,15 +1852,14 @@ mod tests {
                 .collect();
             let no_pred = Query::new(vec![], agg).unwrap();
             let expected = no_pred.execute_full_scan(&ds.select_rows(&oracle_rows));
-            let (scalar, scalar_counters) =
-                execute_plan_tiered(&tomb, &q, &plan, KernelTier::Scalar);
+            let (scalar, scalar_counters) = run(&tomb, &q, &plan, KernelTier::Scalar, 1);
             assert_eq!(scalar, expected, "{agg:?} scalar vs rebuilt oracle");
             assert_eq!(scalar_counters.matched, oracle_rows.len());
             for tier in KernelTier::ALL {
-                let (res, counters) = execute_plan_tiered(&tomb, &q, &plan, tier);
+                let (res, counters) = run(&tomb, &q, &plan, tier, 1);
                 assert_eq!(res, expected, "{agg:?} via {tier:?}");
                 assert_eq!(counters, scalar_counters, "{agg:?} counters via {tier:?}");
-                let (par, par_counters) = execute_plan_parallel_tiered(&tomb, &q, &plan, 4, tier);
+                let (par, par_counters) = run(&tomb, &q, &plan, tier, 4);
                 assert_eq!(par, expected, "{agg:?} parallel via {tier:?}");
                 assert_eq!(par_counters, scalar_counters, "{agg:?} parallel counters");
             }
@@ -2136,13 +2016,12 @@ mod tests {
                     vec![Predicate::range(0, 0, 4100).unwrap()],
                 ] {
                     let q = Query::new(preds.clone(), agg).unwrap();
-                    let (expected, expected_counters) =
-                        execute_plan_tiered(&ds, &q, &plan, KernelTier::Scalar);
+                    let (expected, expected_counters) = run(&ds, &q, &plan, KernelTier::Scalar, 1);
                     for tier in KernelTier::ALL {
-                        let (res, counters) = execute_plan_tiered(&src, &q, &plan, tier);
+                        let (res, counters) = run(&src, &q, &plan, tier, 1);
                         assert_eq!(res, expected, "tail={tail} {agg:?} {preds:?} via {tier:?}");
                         assert_eq!(counters, expected_counters, "counters via {tier:?}");
-                        let (par, pc) = execute_plan_parallel_tiered(&src, &q, &plan, 4, tier);
+                        let (par, pc) = run(&src, &q, &plan, tier, 4);
                         assert_eq!(par, expected, "parallel tail={tail} {agg:?} via {tier:?}");
                         assert_eq!(pc, expected_counters, "parallel counters via {tier:?}");
                     }
@@ -2179,13 +2058,12 @@ mod tests {
                 agg,
             )
             .unwrap();
-            let (expected, expected_counters) =
-                execute_plan_tiered(&tomb, &q, &plan, KernelTier::Scalar);
+            let (expected, expected_counters) = run(&tomb, &q, &plan, KernelTier::Scalar, 1);
             for tier in KernelTier::ALL {
-                let (res, counters) = execute_plan_tiered(&src, &q, &plan, tier);
+                let (res, counters) = run(&src, &q, &plan, tier, 1);
                 assert_eq!(res, expected, "{agg:?} via {tier:?}");
                 assert_eq!(counters, expected_counters, "{agg:?} counters via {tier:?}");
-                let (par, pc) = execute_plan_parallel_tiered(&src, &q, &plan, 4, tier);
+                let (par, pc) = run(&src, &q, &plan, tier, 4);
                 assert_eq!(par, expected, "{agg:?} parallel via {tier:?}");
                 assert_eq!(pc, expected_counters, "{agg:?} parallel counters");
             }
@@ -2210,9 +2088,9 @@ mod tests {
         )
         .unwrap();
         let plan = ScanPlan::full(ds.len());
-        let (expected, ec) = execute_plan_tiered(&src, &q, &plan, KernelTier::Scalar);
+        let (expected, ec) = run(&src, &q, &plan, KernelTier::Scalar, 1);
         for tier in KernelTier::ALL {
-            let (res, counters) = execute_plan_tiered(&src, &q, &plan, tier);
+            let (res, counters) = run(&src, &q, &plan, tier, 1);
             assert_eq!(res, expected, "via {tier:?}");
             assert_eq!(counters, ec, "counters via {tier:?}");
         }
@@ -2234,9 +2112,9 @@ mod tests {
             Aggregation::Avg(2),
         ] {
             let q = Query::new(vec![], agg).unwrap();
-            let (expected, ec) = execute_plan_tiered(&ds, &q, &plan, KernelTier::Scalar);
+            let (expected, ec) = run(&ds, &q, &plan, KernelTier::Scalar, 1);
             for tier in KernelTier::ALL {
-                let (res, counters) = execute_plan_tiered(&src, &q, &plan, tier);
+                let (res, counters) = run(&src, &q, &plan, tier, 1);
                 assert_eq!(res, expected, "{agg:?} via {tier:?}");
                 assert_eq!(counters, ec, "{agg:?} counters via {tier:?}");
             }

@@ -4,9 +4,9 @@
 //! # Why hand-rolled
 //!
 //! The container has no rayon (offline workspace), and the executor needs a
-//! *persistent* pool anyway: spawning fresh `std::thread`s per
-//! `execute_parallel` call pays ~tens of microseconds of spawn latency per
-//! query — more than a whole small scan — and a per-`Scheduler` dedicated
+//! *persistent* pool anyway: spawning fresh `std::thread`s per parallel
+//! execution pays ~tens of microseconds of spawn latency per query — more
+//! than a whole small scan — and a per-`Scheduler` dedicated
 //! worker set cannot lend idle threads to a big concurrent scan. One shared
 //! pool runs one huge scan, or many small queries, or any mix, without idle
 //! workers or spawn overhead.

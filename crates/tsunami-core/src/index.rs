@@ -9,12 +9,14 @@
 //! Query execution is *not* implemented per index. An index only answers
 //! [`MultiDimIndex::plan`] — which contiguous physical ranges to scan, with
 //! the §6.1 exact-range flags — and exposes its reordered data through
-//! [`MultiDimIndex::source`]; the provided [`MultiDimIndex::execute`],
-//! [`MultiDimIndex::execute_with_stats`], and
-//! [`MultiDimIndex::execute_parallel`] methods run every plan through the
-//! shared vectorized executor in [`crate::exec`].
+//! [`MultiDimIndex::source`]; the one provided method,
+//! [`MultiDimIndex::execute`], runs the plan through the shared serial
+//! executor ([`exec::execute_plan`]) and returns the result with its
+//! [`ScanCounters`]. Callers that need a pinned kernel tier, a pool, or the
+//! unfinished partial state call [`exec::fold_plan`] with
+//! [`MultiDimIndex::plan`] and [`MultiDimIndex::source`] directly.
 
-use crate::exec::{self, KernelTier, ScanCounters, ScanPlan, ScanSource};
+use crate::exec::{self, ScanCounters, ScanPlan, ScanSource};
 use crate::query::{AggResult, Query};
 
 /// Wall-clock breakdown of building an index (Fig 9b): every index must sort
@@ -35,28 +37,6 @@ impl BuildTiming {
     }
 }
 
-/// Diagnostic counters describing how an index executed a query. Used to
-/// validate the cost model (Fig 12b) and to explain performance differences.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct IndexStats {
-    /// Number of contiguous physical ranges scanned.
-    pub ranges_scanned: usize,
-    /// Number of points scanned (visited), matching or not.
-    pub points_scanned: usize,
-    /// Number of points that matched all predicates.
-    pub points_matched: usize,
-}
-
-impl From<ScanCounters> for IndexStats {
-    fn from(c: ScanCounters) -> Self {
-        Self {
-            ranges_scanned: c.ranges,
-            points_scanned: c.points,
-            points_matched: c.matched,
-        }
-    }
-}
-
 /// A clustered in-memory multi-dimensional index over a single table.
 ///
 /// Implementations own their (re-organized) copy of the data, so planning
@@ -74,54 +54,10 @@ pub trait MultiDimIndex {
     /// is the only query-time logic an index implements.
     fn plan(&self, query: &Query) -> ScanPlan;
 
-    /// Executes a query through the shared vectorized executor.
-    fn execute(&self, query: &Query) -> AggResult {
-        exec::execute_plan(self.source(), query, &self.plan(query)).0
-    }
-
-    /// Executes a query while collecting diagnostic counters from the
-    /// executor.
-    fn execute_with_stats(&self, query: &Query) -> (AggResult, IndexStats) {
-        let (result, counters) = exec::execute_plan(self.source(), query, &self.plan(query));
-        (result, counters.into())
-    }
-
-    /// Executes a query with the parallel executor: the plan is decomposed
-    /// into cache-resident morsels claimed by up to `threads` workers of the
-    /// process-wide work-stealing pool ([`exec::pool`]) — no threads are
-    /// spawned per call. Results and counters are bit-identical to
-    /// [`Self::execute_with_stats`].
-    fn execute_parallel(&self, query: &Query, threads: usize) -> (AggResult, IndexStats) {
-        let (result, counters) =
-            exec::execute_plan_parallel(self.source(), query, &self.plan(query), threads);
-        (result, counters.into())
-    }
-
-    /// Executes a query with an explicitly pinned [`KernelTier`]. All tiers
-    /// are bit-identical in results and counters (see the
-    /// [`exec`] module docs); benchmarks and differential tests
-    /// use this to compare them.
-    fn execute_tiered(&self, query: &Query, tier: KernelTier) -> (AggResult, IndexStats) {
-        let (result, counters) =
-            exec::execute_plan_tiered(self.source(), query, &self.plan(query), tier);
-        (result, counters.into())
-    }
-
-    /// [`Self::execute_tiered`] through the parallel executor.
-    fn execute_parallel_tiered(
-        &self,
-        query: &Query,
-        threads: usize,
-        tier: KernelTier,
-    ) -> (AggResult, IndexStats) {
-        let (result, counters) = exec::execute_plan_parallel_tiered(
-            self.source(),
-            query,
-            &self.plan(query),
-            threads,
-            tier,
-        );
-        (result, counters.into())
+    /// Executes a query through the shared serial executor, returning the
+    /// result and the counters for exactly this execution.
+    fn execute(&self, query: &Query) -> (AggResult, ScanCounters) {
+        exec::execute_plan(self.source(), query, &self.plan(query))
     }
 
     /// Size of the index structure in bytes, excluding the data itself
@@ -192,14 +128,23 @@ mod tests {
     fn provided_execute_runs_the_plan() {
         let d = Dummy::new();
         let q = Query::count(vec![Predicate::range(0, 10, 19).unwrap()]).unwrap();
-        assert_eq!(d.execute(&q), AggResult::Count(10));
-        let (res, stats) = d.execute_with_stats(&q);
+        let (res, stats) = d.execute(&q);
         assert_eq!(res, AggResult::Count(10));
-        assert_eq!(stats.ranges_scanned, 1);
-        assert_eq!(stats.points_scanned, 100);
-        assert_eq!(stats.points_matched, 10);
-        let (res, pstats) = d.execute_parallel(&q, 4);
-        assert_eq!(res, AggResult::Count(10));
+        assert_eq!(stats.ranges, 1);
+        assert_eq!(stats.points, 100);
+        assert_eq!(stats.matched, 10);
+        let pool = exec::pool::global();
+        let plan = d.plan(&q);
+        let (acc, pstats) = exec::fold_plan(
+            d.source(),
+            &q,
+            &plan,
+            exec::KernelTier::default(),
+            pool,
+            4,
+            pool.morsel_rows(),
+        );
+        assert_eq!(acc.finish(), AggResult::Count(10));
         assert_eq!(pstats, stats);
     }
 }

@@ -47,6 +47,6 @@ pub use exec::{
     BlockScratch, KernelTier, PlanPartial, ScanCounters, ScanPlan, ScanRange, ScanSource,
 };
 pub use histogram::Histogram;
-pub use index::{BuildTiming, IndexStats, MultiDimIndex};
+pub use index::{BuildTiming, MultiDimIndex};
 pub use query::{AggAccumulator, AggResult, Aggregation, Predicate, Query, Workload};
 pub use tombstone::TombstoneSet;

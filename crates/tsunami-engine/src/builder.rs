@@ -7,7 +7,7 @@
 //! # let data = Dataset::from_columns(vec![(0..100u64).collect(), (0..100u64).collect()]).unwrap();
 //! # let mut db = Database::new();
 //! # db.create_table("trips", &["pickup", "fare"], data, &Workload::default(), &IndexSpec::FullScan).unwrap();
-//! let total = db
+//! let (total, _counters) = db
 //!     .table("trips")?
 //!     .query()
 //!     .range("pickup", 10, 40)?
@@ -17,7 +17,7 @@
 //! # Ok::<(), tsunami_core::TsunamiError>(())
 //! ```
 
-use tsunami_core::{AggResult, Aggregation, IndexStats, Predicate, Query, Result, Value};
+use tsunami_core::{AggResult, Aggregation, Predicate, Query, Result, ScanCounters, Value};
 
 use crate::prepared::PreparedQuery;
 use crate::schema::ColumnRef;
@@ -117,13 +117,9 @@ impl QueryBuilder {
         self.table.prepare(query)
     }
 
-    /// Builds and executes the query.
-    pub fn execute(self) -> Result<AggResult> {
+    /// Builds and executes the query, returning the result and the
+    /// executor's scan counters.
+    pub fn execute(self) -> Result<(AggResult, ScanCounters)> {
         Ok(self.prepare()?.execute())
-    }
-
-    /// Builds and executes the query, returning scan counters too.
-    pub fn execute_with_stats(self) -> Result<(AggResult, IndexStats)> {
-        Ok(self.prepare()?.execute_with_stats())
     }
 }

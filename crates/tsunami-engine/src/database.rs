@@ -49,9 +49,9 @@ pub struct Database {
     views: Vec<MaterializedView>,
     cost: CostModel,
     /// The execution pool shared by every table: schedulers created via
-    /// [`Database::scheduler`] submit into it, and it is the same pool
-    /// [`MultiDimIndex::execute_parallel`](tsunami_core::MultiDimIndex::execute_parallel)
-    /// runs morsels on. Defaults to the process-wide
+    /// [`Database::scheduler`] submit into it and fan their intra-query
+    /// morsels out on it, and view recomputes fold through it. Defaults to
+    /// the process-wide
     /// [`pool::global`] pool; inject a private one with
     /// [`Database::set_pool`].
     pool: Arc<WorkStealingPool>,
@@ -461,7 +461,7 @@ impl Database {
     pub fn view_value(&self, name: &str) -> Result<AggResult> {
         let view = self.view(name)?;
         let table = self.table(view.table())?;
-        view.value(table.index())
+        Ok(view.value(table.index(), &self.pool))
     }
 
     /// Rebuilds a table's index for a new workload (the paper's workload-
@@ -874,7 +874,8 @@ mod tests {
             .range("id", 10, 19)
             .unwrap()
             .execute()
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(r.as_count(), Some(10));
 
         assert_eq!(

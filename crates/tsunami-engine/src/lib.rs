@@ -10,7 +10,8 @@
 //!   boundary.
 //! * [`QueryBuilder`] — fluent, schema-aware query construction:
 //!   `db.table("trips")?.query().range("pickup", lo, hi)?.sum("fare")?
-//!   .execute()?`. Unknown columns and out-of-bounds dimensions are errors,
+//!   .execute()?`, which returns the result with the executor's scan
+//!   counters. Unknown columns and out-of-bounds dimensions are errors,
 //!   not silent mis-scans.
 //! * [`PreparedQuery`] — a validated (table, query) pair that executes
 //!   infallibly, any number of times, from any thread.
@@ -20,7 +21,8 @@
 //!   backpressure. Tune with [`SchedulerConfig`].
 //! * [`ShardedDatabase`] — hash-partitions a table's rows across K
 //!   independent `Database` shards and scatter-gathers queries through the
-//!   shared pool with commutative merges (AVG as exact sum+count pairs), so
+//!   shared pool once per query, merging per-shard partial aggregate states
+//!   (AVG as exact sum+count pairs), so
 //!   sharded results stay bit-identical to an unsharded table. This is the
 //!   substrate the `tsunami-server` network front-end serves.
 //! * **Workload-shift adaptation** — [`Table::record_query`] feeds a bounded
@@ -53,8 +55,9 @@
 //!
 //! // Fluent, schema-validated queries.
 //! let trips = db.table("orders")?;
-//! let r = trips.query().range("id", 100, 299)?.execute()?;
+//! let (r, scan) = trips.query().range("id", 100, 299)?.execute()?;
 //! assert_eq!(r.as_count(), Some(200));
+//! assert!(scan.points >= 200);
 //!
 //! // Concurrent execution of many independent queries.
 //! let queries = trips.prepare_workload(&workload)?;

@@ -1,12 +1,12 @@
 //! The concurrent query scheduler: inter-query parallelism on the shared
 //! work-stealing pool.
 //!
-//! This complements the intra-query parallel executor (`exec::
-//! execute_plan_parallel`, which splits *one* query's scan plan into morsels
-//! across pool workers) with *inter-query* parallelism: many small queries
-//! in flight at once, which is how serving-scale traffic actually arrives.
-//! Queries carry their table handle ([`PreparedQuery`]), so one scheduler
-//! serves every table in a database.
+//! This complements the intra-query parallel executor
+//! ([`exec::fold_plan`] with more than one thread, which splits *one*
+//! query's scan plan into morsels across pool workers) with *inter-query*
+//! parallelism: many small queries in flight at once, which is how
+//! serving-scale traffic actually arrives. Queries carry their table handle
+//! ([`PreparedQuery`]), so one scheduler serves every table in a database.
 //!
 //! The scheduler owns **no threads**. It submits drainer tasks into a
 //! [`WorkStealingPool`] — by default the process-wide
@@ -18,8 +18,14 @@
 //! [`SchedulerConfig::workers`] drainers run at once, bounding how many
 //! queries execute concurrently. With
 //! [`SchedulerConfig::intra_query_threads`] > 1, each drained query
-//! additionally fans out into morsels on the same pool — inter- and
-//! intra-query parallelism composing on one substrate.
+//! additionally fans out into morsels on the scheduler's own pool — inter-
+//! and intra-query parallelism composing on one substrate.
+//!
+//! Each query is folded with [`exec::fold_plan`] into an unfinished
+//! [`AggAccumulator`], and that partial state is what the completion slot
+//! holds: [`QueryHandle::wait`] finishes it into an [`AggResult`], and the
+//! sharded gather merges the partials of one query's per-shard executions
+//! before finishing once.
 //!
 //! Two submission APIs:
 //!
@@ -28,21 +34,33 @@
 //!   and get a [`QueryHandle`] to `poll`/`wait` on. The queue is bounded:
 //!   `submit` blocks when full (backpressure), `try_submit` returns
 //!   [`TsunamiError::SchedulerQueueFull`] instead.
+//!
+//! # Shutdown: drop cancels, `drain` completes
+//!
+//! Dropping a scheduler **cancels** queued-but-unstarted queries: their
+//! handles resolve with [`TsunamiError::SchedulerShutdown`], and the drop
+//! waits only for queries already executing. This is what a server needs at
+//! shutdown — waiters blocked on a handle unblock at once instead of waiting
+//! behind the whole queue. [`Scheduler::drain`] is the completing
+//! alternative: it runs every still-queued query on the calling thread, so
+//! every handle resolves with its query's real result.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use tsunami_core::exec::pool::{self, WorkStealingPool};
-use tsunami_core::{AggResult, IndexStats, Result, TsunamiError};
+use tsunami_core::exec::{self, KernelTier};
+use tsunami_core::{AggAccumulator, AggResult, Result, ScanCounters, TsunamiError};
 
 use crate::prepared::PreparedQuery;
 
-/// What gets written into a completion slot: the result and counters, or the
-/// error the query resolved with — [`TsunamiError::QueryPanicked`] when it
-/// blew up mid-execution, [`TsunamiError::SchedulerShutdown`] when the
-/// scheduler was dropped before a drainer picked it up.
-type Outcome = std::result::Result<(AggResult, IndexStats), TsunamiError>;
+/// What gets written into a completion slot: the unfinished partial state
+/// and counters, or the error the query resolved with —
+/// [`TsunamiError::QueryPanicked`] when it blew up mid-execution,
+/// [`TsunamiError::SchedulerShutdown`] when the scheduler was dropped before
+/// a drainer picked it up.
+type Outcome = std::result::Result<(AggAccumulator, ScanCounters), TsunamiError>;
 
 /// Completion slot shared between a drainer and the submitter's handle.
 struct Slot {
@@ -87,11 +105,12 @@ impl QueryHandle {
 
     /// Blocks until the query finishes and returns its result.
     pub fn wait(&self) -> Result<AggResult> {
-        self.wait_with_stats().map(|(r, _)| r)
+        self.wait_partial().map(|(acc, _)| acc.finish())
     }
 
-    /// Blocks until the query finishes; returns result plus scan counters.
-    pub fn wait_with_stats(&self) -> Result<(AggResult, IndexStats)> {
+    /// Blocks until the query finishes; returns its unfinished partial state
+    /// plus scan counters (the sharded gather merges these across shards).
+    pub(crate) fn wait_partial(&self) -> Result<(AggAccumulator, ScanCounters)> {
         let mut guard = self.slot.result.lock().unwrap();
         loop {
             if let Some(outcome) = guard.clone() {
@@ -100,17 +119,14 @@ impl QueryHandle {
             guard = self.slot.done.wait(guard).unwrap();
         }
     }
-}
 
-fn to_result(outcome: Outcome) -> Result<AggResult> {
-    outcome.map(|(r, _)| r)
-}
-
-// Private accessor used by poll/is_done (kept out of the public surface).
-impl QueryHandle {
     fn outcome(&self) -> Option<Outcome> {
         self.slot.result.lock().unwrap().clone()
     }
+}
+
+fn to_result(outcome: Outcome) -> Result<AggResult> {
+    outcome.map(|(acc, _)| acc.finish())
 }
 
 /// Scheduler tuning knobs. `Default` derives everything from the shared
@@ -165,7 +181,7 @@ struct Shared {
 /// Dropping the scheduler waits for in-flight queries to finish and resolves
 /// still-queued ones with [`TsunamiError::SchedulerShutdown`] — waiters on
 /// their handles (e.g. server connections mid-request) unblock with an error
-/// instead of hanging.
+/// instead of hanging. [`Scheduler::drain`] completes the queue instead.
 pub struct Scheduler {
     shared: Arc<Shared>,
 }
@@ -293,7 +309,7 @@ impl Scheduler {
         drop(state);
         if spawn_drainer {
             let shared = Arc::clone(&self.shared);
-            self.shared.pool.spawn(move || drain(&shared));
+            self.shared.pool.spawn(move || drainer(&shared));
         }
         Ok(QueryHandle { slot })
     }
@@ -307,6 +323,22 @@ impl Scheduler {
             .map(|q| self.submit(q.clone()))
             .collect::<Result<_>>()?;
         handles.iter().map(QueryHandle::wait).collect()
+    }
+
+    /// Shuts the scheduler down *completing* its queue: every still-queued
+    /// query runs on the calling thread, then the scheduler waits for the
+    /// queries its drainers are executing. Every handle resolves with its
+    /// query's real outcome — unlike dropping, which cancels queued queries
+    /// with [`TsunamiError::SchedulerShutdown`]. Taking `self` means no
+    /// submission can race the final empty-queue check.
+    pub fn drain(self) {
+        loop {
+            let job = self.shared.state.lock().unwrap().jobs.pop_front();
+            let Some((query, slot)) = job else { break };
+            self.shared.space_ready.notify_one();
+            run_job(&self.shared, &query, &slot);
+        }
+        // Drop finds the queue empty and waits for in-flight drainers.
     }
 }
 
@@ -338,7 +370,7 @@ impl Drop for Scheduler {
 
 /// One drainer task: pops queued queries and executes them until the queue
 /// is empty, then retires. Runs on a pool worker.
-fn drain(shared: &Shared) {
+fn drainer(shared: &Shared) {
     loop {
         let (query, slot) = {
             let mut state = shared.state.lock().unwrap();
@@ -355,30 +387,41 @@ fn drain(shared: &Shared) {
         };
         // A slot freed up; wake one blocked submitter.
         shared.space_ready.notify_one();
-        // Catch panics so a poisoned query can neither hang its waiter (the
-        // slot always gets filled) nor kill the pool worker.
-        let threads = shared.intra_query_threads;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if threads > 1 {
-                query.execute_parallel(threads)
-            } else {
-                query.execute_with_stats()
-            }
-        }))
-        .map_err(|payload| {
-            TsunamiError::QueryPanicked(
-                payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string()),
-            )
-        });
-        // Count before filling: once `fill` wakes a waiter, the query must
-        // already be visible in `completed()`.
-        shared.completed.fetch_add(1, Ordering::Relaxed);
-        slot.fill(outcome);
+        run_job(shared, &query, &slot);
     }
+}
+
+/// Folds one query into its partial state — on the scheduler's own pool
+/// when it fans out — and fills its completion slot.
+fn run_job(shared: &Shared, query: &PreparedQuery, slot: &Slot) {
+    // Catch panics so a poisoned query can neither hang its waiter (the
+    // slot always gets filled) nor kill the pool worker.
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let index = query.table().index();
+        let q = query.query();
+        exec::fold_plan(
+            index.source(),
+            q,
+            &index.plan(q),
+            KernelTier::default(),
+            &shared.pool,
+            shared.intra_query_threads,
+            shared.pool.morsel_rows(),
+        )
+    }))
+    .map_err(|payload| {
+        TsunamiError::QueryPanicked(
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string()),
+        )
+    });
+    // Count before filling: once `fill` wakes a waiter, the query must
+    // already be visible in `completed()`.
+    shared.completed.fetch_add(1, Ordering::Relaxed);
+    slot.fill(outcome);
 }
 
 #[cfg(test)]
@@ -420,7 +463,7 @@ mod tests {
             .collect();
         let scheduler = Scheduler::new(4);
         let parallel = scheduler.execute_batch(&queries).unwrap();
-        let serial: Vec<_> = queries.iter().map(|q| q.execute()).collect();
+        let serial: Vec<_> = queries.iter().map(|q| q.execute().0).collect();
         assert_eq!(parallel, serial);
         assert_eq!(scheduler.completed(), 40);
     }
@@ -544,6 +587,29 @@ mod tests {
                 Err(TsunamiError::SchedulerShutdown) => {}
                 Err(e) => panic!("unexpected error: {e}"),
             }
+        }
+    }
+
+    #[test]
+    fn drain_completes_every_queued_query() {
+        let t = table();
+        let q = t.query().range("a", 0, 99).unwrap().prepare().unwrap();
+        // One drainer on a one-worker pool: most submissions are still
+        // queued when `drain` takes over.
+        let scheduler = Scheduler::on_pool(
+            Arc::new(WorkStealingPool::new(1)),
+            SchedulerConfig {
+                workers: 1,
+                ..SchedulerConfig::default()
+            },
+        );
+        let handles: Vec<_> = (0..16)
+            .map(|_| scheduler.submit(q.clone()).unwrap())
+            .collect();
+        scheduler.drain();
+        for h in handles {
+            assert!(h.is_done());
+            assert_eq!(h.wait().unwrap().as_count(), Some(100));
         }
     }
 
@@ -673,7 +739,7 @@ mod tests {
         });
         let results = scheduler.execute_batch(&queries).unwrap();
         for (r, q) in results.iter().zip(&queries) {
-            assert_eq!(*r, q.execute());
+            assert_eq!(*r, q.execute().0);
         }
     }
 }

@@ -18,29 +18,31 @@
 //!
 //! # Scatter-gather and merge rules
 //!
-//! A query scatters to every shard through a shared [`Scheduler`] (drainer
-//! tasks on the process-wide work-stealing pool) and the per-shard results
-//! merge commutatively:
+//! A query scatters **once** to every shard through a shared [`Scheduler`]
+//! (drainer tasks on the process-wide work-stealing pool). Each shard folds
+//! the query itself into an unfinished [`AggAccumulator`], and the gather
+//! site merges those partials with [`AggAccumulator::merge`] and finishes
+//! once:
 //!
-//! | Aggregation | Per-shard sub-query | Merge |
-//! |-------------|---------------------|-------|
-//! | `COUNT`     | `COUNT`             | sum of `u64` counts |
-//! | `SUM(d)`    | `SUM(d)`            | sum of exact `u128` partial sums |
-//! | `MIN(d)`    | `MIN(d)`            | min of non-empty partials |
-//! | `MAX(d)`    | `MAX(d)`            | max of non-empty partials |
-//! | `AVG(d)`    | `SUM(d)` + `COUNT`  | `(Σ sums) as f64 / (Σ counts) as f64` |
+//! | Aggregation | Per-shard partial state | Merge |
+//! |-------------|-------------------------|-------|
+//! | `COUNT`     | `u64` count             | sum of counts |
+//! | `SUM(d)`    | exact `u128` sum        | sum of sums |
+//! | `MIN(d)`    | min (None if empty)     | min of non-empty partials |
+//! | `MAX(d)`    | max (None if empty)     | max of non-empty partials |
+//! | `AVG(d)`    | exact `u128` sum + `u64` count | sum of sums, sum of counts; divide once |
 //!
-//! `AVG` never averages averages: each shard reports its exact integer
-//! `SUM`/`COUNT` pair and the division happens once at the gather site —
-//! the same `sum as f64 / count as f64` expression
-//! [`tsunami_core::AggAccumulator::finish`] uses, so sharded results are
-//! bit-identical to an unsharded table over the same rows.
+//! `AVG` never averages averages: the merged state carries the exact integer
+//! `SUM`/`COUNT` pair and [`AggAccumulator::finish`] divides once — the same
+//! finalization an unsharded table applies, so sharded results are
+//! bit-identical to an unsharded table over the same rows, with one scatter
+//! per query for every aggregation.
 
 use std::sync::Arc;
 
 use tsunami_core::exec::pool::WorkStealingPool;
 use tsunami_core::{
-    AggResult, Aggregation, Dataset, Point, Query, Result, TsunamiError, Value, Workload,
+    AggAccumulator, AggResult, Dataset, Point, Query, Result, TsunamiError, Value, Workload,
 };
 
 use crate::database::Database;
@@ -329,76 +331,22 @@ impl ShardedTable {
         &self.shards
     }
 
-    /// Executes a query by scattering it to every shard through the shared
-    /// scheduler and merging the partial results (see the module docs for
-    /// the merge rules). Results are bit-identical to an unsharded table
-    /// holding the same rows.
+    /// Executes a query by scattering it once to every shard through the
+    /// shared scheduler and merging the per-shard partial states (see the
+    /// module docs for the merge rules). Results are bit-identical to an
+    /// unsharded table holding the same rows.
     pub fn execute(&self, query: &Query) -> Result<AggResult> {
         query.validate_dims(self.num_columns())?;
-        match query.aggregation() {
-            Aggregation::Avg(dim) => {
-                // AVG is not commutative over per-shard averages; scatter the
-                // exact SUM and COUNT instead and divide once at the gather
-                // site, matching AggAccumulator::finish bit-for-bit.
-                let sums = self.scatter(&Query::new(
-                    query.predicates().to_vec(),
-                    Aggregation::Sum(dim),
-                )?)?;
-                let counts = self.scatter(&Query::new(
-                    query.predicates().to_vec(),
-                    Aggregation::Count,
-                )?)?;
-                let mut sum = 0u128;
-                for s in &sums {
-                    sum += s.as_sum().ok_or_else(|| type_confusion(s))?;
-                }
-                let mut count = 0u64;
-                for c in &counts {
-                    count += c.as_count().ok_or_else(|| type_confusion(c))?;
-                }
-                Ok(AggResult::Avg(if count == 0 {
-                    None
-                } else {
-                    Some(sum as f64 / count as f64)
-                }))
-            }
-            Aggregation::Count => {
-                let partials = self.scatter(query)?;
-                let mut count = 0u64;
-                for p in &partials {
-                    count += p.as_count().ok_or_else(|| type_confusion(p))?;
-                }
-                Ok(AggResult::Count(count))
-            }
-            Aggregation::Sum(_) => {
-                let partials = self.scatter(query)?;
-                let mut sum = 0u128;
-                for p in &partials {
-                    sum += p.as_sum().ok_or_else(|| type_confusion(p))?;
-                }
-                Ok(AggResult::Sum(sum))
-            }
-            Aggregation::Min(_) => {
-                let partials = self.scatter(query)?;
-                let mut min: Option<Value> = None;
-                for p in &partials {
-                    if let Some(v) = p.as_min().ok_or_else(|| type_confusion(p))? {
-                        min = Some(min.map_or(v, |m| m.min(v)));
-                    }
-                }
-                Ok(AggResult::Min(min))
-            }
-            Aggregation::Max(_) => {
-                let partials = self.scatter(query)?;
-                let mut max: Option<Value> = None;
-                for p in &partials {
-                    if let Some(v) = p.as_max().ok_or_else(|| type_confusion(p))? {
-                        max = Some(max.map_or(v, |m| m.max(v)));
-                    }
-                }
-                Ok(AggResult::Max(max))
-            }
+        let handles = self
+            .shards
+            .iter()
+            .map(|t| self.scheduler.submit(t.prepare(query.clone())?))
+            .collect::<Result<Vec<_>>>()?;
+        let mut merged = AggAccumulator::new(query.aggregation());
+        for h in &handles {
+            merged.merge(&h.wait_partial()?.0);
         }
+        Ok(merged.finish())
     }
 
     /// Records an observed query on every shard's observation log, feeding
@@ -410,15 +358,6 @@ impl ShardedTable {
             t.record_query(query)?;
         }
         Ok(())
-    }
-
-    fn scatter(&self, query: &Query) -> Result<Vec<AggResult>> {
-        let handles = self
-            .shards
-            .iter()
-            .map(|t| self.scheduler.submit(t.prepare(query.clone())?))
-            .collect::<Result<Vec<_>>>()?;
-        handles.iter().map(|h| h.wait()).collect()
     }
 }
 
@@ -432,14 +371,10 @@ impl std::fmt::Debug for ShardedTable {
     }
 }
 
-fn type_confusion(got: &AggResult) -> TsunamiError {
-    TsunamiError::Build(format!("shard returned mismatched aggregate {got:?}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsunami_core::Predicate;
+    use tsunami_core::{Aggregation, Predicate};
 
     fn rows(n: u64) -> Dataset {
         Dataset::from_columns(vec![

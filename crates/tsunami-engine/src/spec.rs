@@ -183,7 +183,7 @@ mod tests {
             let index = spec.build(&data, &workload, &cost).unwrap();
             for q in workload.queries().iter().step_by(3) {
                 assert_eq!(
-                    index.execute(q),
+                    index.execute(q).0,
                     q.execute_full_scan(&data),
                     "{} disagrees on {q:?}",
                     spec.label()

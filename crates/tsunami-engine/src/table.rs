@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use tsunami_core::{AggResult, Dataset, IndexStats, MultiDimIndex, Query, Result, Workload};
+use tsunami_core::{AggResult, Dataset, MultiDimIndex, Query, Result, Workload};
 
 use crate::builder::QueryBuilder;
 use crate::prepared::PreparedQuery;
@@ -177,16 +177,12 @@ impl Table {
             .collect()
     }
 
-    /// Validates and executes a hand-assembled query in one step.
+    /// Validates and executes a hand-assembled query in one step. The scan
+    /// counters are available through [`Table::prepare`] and
+    /// [`PreparedQuery::execute`].
     pub fn execute(&self, query: &Query) -> Result<AggResult> {
         query.validate_dims(self.num_columns())?;
-        Ok(self.state.index.execute(query))
-    }
-
-    /// Like [`Table::execute`], returning the executor's scan counters too.
-    pub fn execute_with_stats(&self, query: &Query) -> Result<(AggResult, IndexStats)> {
-        query.validate_dims(self.num_columns())?;
-        Ok(self.state.index.execute_with_stats(query))
+        Ok(self.state.index.execute(query).0)
     }
 
     /// The workload the current index layout was optimized for.

@@ -13,10 +13,9 @@
 //!   untouched.
 //!
 //! State is an [`AggAccumulator`] — the exact representation the scan path
-//! folds into — seeded from *component* queries executed through the table's
-//! index (COUNT plus SUM/MIN/MAX of the input dimension as the aggregation
-//! needs). Every component answer is bit-identical to a scan, and
-//! [`AggAccumulator::finish`] applies the same finalization (AVG as
+//! folds into — seeded from one execution of the view's query through the
+//! table's index ([`exec::fold_plan`] returns the unfinished state).
+//! [`AggAccumulator::finish`] applies the scan path's finalization (AVG as
 //! SUM/COUNT — never an average of averages), so a view's answer is
 //! bit-identical to executing its query from scratch, always.
 //!
@@ -27,7 +26,8 @@
 
 use std::sync::Mutex;
 
-use tsunami_core::{AggAccumulator, AggResult, Aggregation, MultiDimIndex, Point, Query, Result};
+use tsunami_core::exec::{self, KernelTier, WorkStealingPool};
+use tsunami_core::{AggAccumulator, AggResult, MultiDimIndex, Point, Query};
 
 /// A named, incrementally-maintained aggregate over one table. See the
 /// module docs for the maintenance and bit-identity contract.
@@ -107,55 +107,22 @@ impl MaterializedView {
 
     /// The view's current answer, recomputing the state through `index` (the
     /// owning table's index) when invalidated. `index` must answer over the
-    /// view's table — the database wires this up.
-    pub fn value(&self, index: &dyn MultiDimIndex) -> Result<AggResult> {
+    /// view's table — the database wires this up. A recompute folds the
+    /// view's query serially; `pool` is only the executor's pool handle.
+    pub fn value(&self, index: &dyn MultiDimIndex, pool: &WorkStealingPool) -> AggResult {
         let mut guard = self.state.lock().unwrap();
-        if guard.is_none() {
-            *guard = Some(recompute(&self.query, index)?);
-        }
-        Ok(guard.as_ref().expect("folded above").finish())
+        let state = guard.get_or_insert_with(|| {
+            exec::fold_plan(
+                index.source(),
+                &self.query,
+                &index.plan(&self.query),
+                KernelTier::default(),
+                pool,
+                1,
+                pool.morsel_rows(),
+            )
+            .0
+        });
+        state.finish()
     }
-}
-
-/// Seeds a fresh accumulator from component queries executed through the
-/// index: COUNT always, plus the aggregation's SUM or MIN/MAX as needed.
-/// Each component is itself bit-identical to a scan, and the accumulator's
-/// `finish` applies the scan path's exact finalization, so the seeded state
-/// answers bit-identically to executing the view query directly.
-fn recompute(query: &Query, index: &dyn MultiDimIndex) -> Result<AggAccumulator> {
-    let preds = query.predicates().to_vec();
-    let count_q = Query::new(preds.clone(), Aggregation::Count)?;
-    let count = index
-        .execute(&count_q)
-        .as_count()
-        .expect("COUNT query returns Count");
-    let mut acc = AggAccumulator::new(query.aggregation());
-    match query.aggregation() {
-        Aggregation::Count => acc.add_block(count, 0, None, None),
-        Aggregation::Sum(d) | Aggregation::Avg(d) => {
-            let sum_q = Query::new(preds, Aggregation::Sum(d))?;
-            let sum = index
-                .execute(&sum_q)
-                .as_sum()
-                .expect("SUM query returns Sum");
-            acc.add_block(count, sum, None, None);
-        }
-        Aggregation::Min(d) => {
-            let min_q = Query::new(preds, Aggregation::Min(d))?;
-            let min = index
-                .execute(&min_q)
-                .as_min()
-                .expect("MIN query returns Min");
-            acc.add_block(count, 0, min, None);
-        }
-        Aggregation::Max(d) => {
-            let max_q = Query::new(preds, Aggregation::Max(d))?;
-            let max = index
-                .execute(&max_q)
-                .as_max()
-                .expect("MAX query returns Max");
-            acc.add_block(count, 0, None, max);
-        }
-    }
-    Ok(acc)
 }

@@ -262,7 +262,11 @@ mod tests {
             &FloodConfig::fast(),
         );
         for q in workload.queries() {
-            assert_eq!(index.execute(q), q.execute_full_scan(&data), "query {q:?}");
+            assert_eq!(
+                index.execute(q).0,
+                q.execute_full_scan(&data),
+                "query {q:?}"
+            );
         }
     }
 
@@ -282,10 +286,10 @@ mod tests {
             Predicate::range(2, 0, 2_500).unwrap(),
         ])
         .unwrap();
-        assert_eq!(index.execute(&q), q.execute_full_scan(&data));
+        assert_eq!(index.execute(&q).0, q.execute_full_scan(&data));
         // Empty-result query.
         let q = Query::count(vec![Predicate::range(1, 50_000, 60_000).unwrap()]).unwrap();
-        assert_eq!(index.execute(&q), AggResult::Count(0));
+        assert_eq!(index.execute(&q).0, AggResult::Count(0));
     }
 
     #[test]
@@ -303,7 +307,7 @@ mod tests {
             tsunami_core::Aggregation::Sum(1),
         )
         .unwrap();
-        assert_eq!(index.execute(&q), q.execute_full_scan(&data));
+        assert_eq!(index.execute(&q).0, q.execute_full_scan(&data));
     }
 
     #[test]
@@ -317,13 +321,10 @@ mod tests {
             &FloodConfig::fast(),
         );
         let q = &workload.queries()[0];
-        let (_, stats) = index.execute_with_stats(q);
-        assert!(
-            stats.points_scanned < data.len(),
-            "grid should prune the scan"
-        );
-        assert!(stats.ranges_scanned >= 1);
-        assert!(stats.points_matched <= stats.points_scanned);
+        let (_, stats) = index.execute(q);
+        assert!(stats.points < data.len(), "grid should prune the scan");
+        assert!(stats.ranges >= 1);
+        assert!(stats.matched <= stats.points);
     }
 
     #[test]
@@ -335,7 +336,7 @@ mod tests {
         assert!(index.size_bytes() > 0);
         assert!(index.build_timing().optimize_secs == 0.0);
         let q = Query::count(vec![Predicate::range(0, 0, 4_999).unwrap()]).unwrap();
-        assert_eq!(index.execute(&q), q.execute_full_scan(&data));
+        assert_eq!(index.execute(&q).0, q.execute_full_scan(&data));
     }
 
     #[test]
@@ -376,11 +377,11 @@ mod tests {
             .unwrap(),
         );
         for q in &probes {
-            assert_eq!(ingested.execute(q), q.execute_full_scan(&merged), "{q:?}");
+            assert_eq!(ingested.execute(q).0, q.execute_full_scan(&merged), "{q:?}");
         }
         // Pruning still works after ingest.
-        let (_, stats) = ingested.execute_with_stats(&workload.queries()[0]);
-        assert!(stats.points_scanned < merged.len());
+        let (_, stats) = ingested.execute(&workload.queries()[0]);
+        assert!(stats.points < merged.len());
     }
 
     #[test]
@@ -388,6 +389,6 @@ mod tests {
         let data = Dataset::from_columns(vec![vec![], vec![]]).unwrap();
         let index = FloodIndex::build_with_partitions(&data, &[4, 4]);
         let q = Query::count(vec![Predicate::range(0, 0, 10).unwrap()]).unwrap();
-        assert_eq!(index.execute(&q), AggResult::Count(0));
+        assert_eq!(index.execute(&q).0, AggResult::Count(0));
     }
 }

@@ -1561,7 +1561,7 @@ mod tests {
         let w = workload(112);
         let index = TsunamiIndex::build(&data, &w, &TsunamiConfig::fast()).unwrap();
         for q in w.queries() {
-            assert_eq!(index.execute(q), q.execute_full_scan(&data), "{q:?}");
+            assert_eq!(index.execute(q).0, q.execute_full_scan(&data), "{q:?}");
         }
     }
 
@@ -1580,12 +1580,12 @@ mod tests {
                 Predicate::range(2, c, c + 2_000).unwrap(),
             ])
             .unwrap();
-            assert_eq!(index.execute(&q), q.execute_full_scan(&data), "{q:?}");
+            assert_eq!(index.execute(&q).0, q.execute_full_scan(&data), "{q:?}");
         }
         // Empty-result query.
         let q = Query::count(vec![Predicate::range(0, 400_000, 500_000).unwrap()]).unwrap();
         assert_eq!(q.execute_full_scan(&data), AggResult::Count(0));
-        assert_eq!(index.execute(&q), AggResult::Count(0));
+        assert_eq!(index.execute(&q).0, AggResult::Count(0));
     }
 
     #[test]
@@ -1595,8 +1595,8 @@ mod tests {
         let index = TsunamiIndex::build(&data, &w, &TsunamiConfig::fast()).unwrap();
         let mut total_scanned = 0usize;
         for q in w.queries() {
-            let (_, stats) = index.execute_with_stats(q);
-            total_scanned += stats.points_scanned;
+            let (_, stats) = index.execute(q);
+            total_scanned += stats.points;
         }
         let avg = total_scanned / w.len();
         assert!(
@@ -1636,7 +1636,7 @@ mod tests {
             let index = TsunamiIndex::build(&data, &w, &config).unwrap();
             for q in w.queries().iter().step_by(9) {
                 assert_eq!(
-                    index.execute(q),
+                    index.execute(q).0,
                     q.execute_full_scan(&data),
                     "{variant:?} {q:?}"
                 );
@@ -1676,7 +1676,7 @@ mod tests {
         let index =
             TsunamiIndex::build(&data, &Workload::default(), &TsunamiConfig::fast()).unwrap();
         let q = Query::count(vec![Predicate::range(0, 0, 25_000).unwrap()]).unwrap();
-        assert_eq!(index.execute(&q), q.execute_full_scan(&data));
+        assert_eq!(index.execute(&q).0, q.execute_full_scan(&data));
     }
 
     #[test]
@@ -1689,7 +1689,7 @@ mod tests {
             tsunami_core::Aggregation::Sum(1),
         )
         .unwrap();
-        assert_eq!(index.execute(&q), q.execute_full_scan(&data));
+        assert_eq!(index.execute(&q).0, q.execute_full_scan(&data));
     }
 
     /// A shifted workload over the same data: narrow scans over dim1 (which
@@ -1734,8 +1734,8 @@ mod tests {
         // Correctness never depends on the layout.
         for q in new_w.queries().iter().chain(old_w.queries()) {
             let expected = q.execute_full_scan(&data);
-            assert_eq!(stale.execute(q), expected, "stale {q:?}");
-            assert_eq!(fresh.execute(q), expected, "reoptimized {q:?}");
+            assert_eq!(stale.execute(q).0, expected, "stale {q:?}");
+            assert_eq!(fresh.execute(q).0, expected, "reoptimized {q:?}");
         }
     }
 
@@ -1755,7 +1755,7 @@ mod tests {
         );
         // Identical layouts: every query scans exactly the same points.
         for q in w.queries().iter().step_by(5) {
-            assert_eq!(index.execute_with_stats(q), same.execute_with_stats(q));
+            assert_eq!(index.execute(q), same.execute(q));
         }
     }
 
@@ -1775,7 +1775,7 @@ mod tests {
         assert!(report.escalated(), "{report:?}");
         assert!(report.frequency_drift > 0.0);
         for q in new_w.queries().iter().step_by(7) {
-            assert_eq!(rebuilt.execute(q), q.execute_full_scan(&data));
+            assert_eq!(rebuilt.execute(q).0, q.execute_full_scan(&data));
         }
 
         // Changed data shape: region reuse is unsound, rebuild over the new
@@ -1786,7 +1786,7 @@ mod tests {
             .unwrap();
         assert!(report.escalated());
         for q in new_w.queries().iter().step_by(9) {
-            assert_eq!(over_grown.execute(q), q.execute_full_scan(&grown));
+            assert_eq!(over_grown.execute(q).0, q.execute_full_scan(&grown));
         }
 
         // Changed variant: also a rebuild.
@@ -1869,8 +1869,8 @@ mod tests {
         );
         for q in &probes {
             let expected = q.execute_full_scan(&merged);
-            assert_eq!(ingested.execute(q), expected, "ingested {q:?}");
-            assert_eq!(rebuilt.execute(q), expected, "rebuilt {q:?}");
+            assert_eq!(ingested.execute(q).0, expected, "ingested {q:?}");
+            assert_eq!(rebuilt.execute(q).0, expected, "rebuilt {q:?}");
         }
     }
 
@@ -1894,7 +1894,7 @@ mod tests {
 
         let merged = merged_dataset(&merged_dataset(&data, &small), &large);
         for q in w.queries().iter().step_by(7) {
-            assert_eq!(after_large.execute(q), q.execute_full_scan(&merged));
+            assert_eq!(after_large.execute(q).0, q.execute_full_scan(&merged));
         }
     }
 
@@ -1914,7 +1914,7 @@ mod tests {
         );
         let merged = merged_dataset(&data, &batch);
         for q in w.queries().iter().step_by(5) {
-            assert_eq!(ingested.execute(q), q.execute_full_scan(&merged));
+            assert_eq!(ingested.execute(q).0, q.execute_full_scan(&merged));
         }
     }
 
@@ -1931,7 +1931,7 @@ mod tests {
         assert_eq!(report.rows_ingested, 0);
         assert_eq!(report.regions_touched, 0);
         let q = Query::count(vec![Predicate::range(0, 0, 25_000).unwrap()]).unwrap();
-        assert_eq!(same.execute(&q), index.execute(&q));
+        assert_eq!(same.execute(&q).0, index.execute(&q).0);
     }
 
     #[test]
@@ -2025,7 +2025,7 @@ mod tests {
         probes.extend(all_agg_probes(vec![]));
         probes.extend(w.queries().iter().step_by(7).cloned());
         for q in &probes {
-            assert_eq!(after.execute(q), q.execute_full_scan(&live), "{q:?}");
+            assert_eq!(after.execute(q).0, q.execute_full_scan(&live), "{q:?}");
         }
 
         // Deleting the same band again is a no-op.
@@ -2071,9 +2071,9 @@ mod tests {
         // All three paths are bit-identical to the live oracle.
         for q in &probes {
             let expected = q.execute_full_scan(&live);
-            assert_eq!(tombstoned.execute(q), expected, "tombstoned {q:?}");
-            assert_eq!(compacted.execute(q), expected, "compacted {q:?}");
-            assert_eq!(rebuilt.execute(q), expected, "rebuilt {q:?}");
+            assert_eq!(tombstoned.execute(q).0, expected, "tombstoned {q:?}");
+            assert_eq!(compacted.execute(q).0, expected, "compacted {q:?}");
+            assert_eq!(rebuilt.execute(q).0, expected, "rebuilt {q:?}");
         }
     }
 
@@ -2105,7 +2105,7 @@ mod tests {
         assert_eq!(merged_index.store.len(), merged.len());
         for q in all_agg_probes(vec![Predicate::range(0, 0, 30_000).unwrap()]) {
             assert_eq!(
-                merged_index.execute(&q),
+                merged_index.execute(&q).0,
                 q.execute_full_scan(&merged),
                 "{q:?}"
             );

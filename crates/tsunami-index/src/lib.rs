@@ -54,7 +54,7 @@
 //!
 //! let index = TsunamiIndex::build(&data, &workload, &TsunamiConfig::fast()).unwrap();
 //! let q = &workload.queries()[3];
-//! assert_eq!(index.execute(q), q.execute_full_scan(&data));
+//! assert_eq!(index.execute(q).0, q.execute_full_scan(&data));
 //! ```
 
 pub mod augmented_grid;

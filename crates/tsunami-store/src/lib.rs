@@ -21,8 +21,9 @@
 //!
 //! Scanning itself — the vectorized kernels, the exact-range fast path, and
 //! the per-query [`ScanCounters`] — lives in [`tsunami_core::exec`]; the
-//! store implements [`tsunami_core::ScanSource`] and adds thin conveniences
-//! ([`ColumnStore::execute_plan`], [`ColumnStore::full_scan`]).
+//! store implements [`tsunami_core::ScanSource`], and plans run against it
+//! through [`tsunami_core::exec::execute_plan`] or
+//! [`tsunami_core::exec::fold_plan`].
 
 pub mod column;
 pub mod dictionary;

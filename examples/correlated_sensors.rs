@@ -75,8 +75,8 @@ fn main() -> Result<(), TsunamiError> {
     for table in db.tables() {
         let mut scanned = 0usize;
         for q in table.prepare_workload(&workload)? {
-            let (_, stats) = q.execute_with_stats();
-            scanned += stats.points_scanned;
+            let (_, stats) = q.execute();
+            scanned += stats.points;
         }
         println!(
             "{:<22} {:>16.0} {:>14.1}",
@@ -99,8 +99,8 @@ fn main() -> Result<(), TsunamiError> {
         .prepare()?;
     println!(
         "\nhot samples for machines 100-120 in the last week: {}",
-        hot.execute()
+        hot.execute().0
     );
-    assert_eq!(hot.execute(), hot.execute_oracle());
+    assert_eq!(hot.execute().0, hot.execute_oracle());
     Ok(())
 }

@@ -65,7 +65,7 @@ fn main() -> Result<(), TsunamiError> {
     // ---------------------------------------------------------------------
     // 4. Fluent queries: named columns, validated at the boundary.
     // ---------------------------------------------------------------------
-    let recent = db
+    let (recent, _) = db
         .table("orders")?
         .query()
         .range("order_id", n * 9 / 10, n - 1)?
@@ -73,7 +73,7 @@ fn main() -> Result<(), TsunamiError> {
         .execute()?;
     println!("recent orders priced 10k-20k: {recent}");
 
-    let revenue = orders
+    let (revenue, _) = orders
         .query()
         .range("quantity", 40, 50)?
         .sum("price")?
@@ -84,17 +84,18 @@ fn main() -> Result<(), TsunamiError> {
     assert!(orders.query().range("pirce", 0, 1).is_err()); // typo'd column
     assert!(orders.query().range("price", 9, 3).is_err()); // lo > hi
 
-    // Diagnostics come from the same fluent surface.
+    // Diagnostics come from the same call: `execute` returns the executor's
+    // scan counters next to the result.
     let (result, scan) = orders
         .query()
         .range("order_id", n * 9 / 10, n - 1)?
         .range("price", 10_000, 20_000)?
-        .execute_with_stats()?;
+        .execute()?;
     println!(
         "diagnostics: {result} scanned {} of {} rows across {} ranges",
-        scan.points_scanned,
+        scan.points,
         orders.num_rows(),
-        scan.ranges_scanned
+        scan.ranges
     );
 
     // ---------------------------------------------------------------------
@@ -104,7 +105,7 @@ fn main() -> Result<(), TsunamiError> {
     let prepared = orders.prepare_workload(&workload)?;
     let scheduler = Scheduler::new(4);
     let results = scheduler.execute_batch(&prepared)?;
-    let serial_first = prepared[0].execute();
+    let serial_first = prepared[0].execute().0;
     println!(
         "scheduler ran {} queries on {} workers (first result {} == serial {})",
         results.len(),

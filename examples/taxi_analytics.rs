@@ -66,8 +66,8 @@ fn main() -> Result<(), TsunamiError> {
         let mut scanned = 0usize;
         let start = std::time::Instant::now();
         for q in &prepared {
-            let (_, stats) = q.execute_with_stats();
-            scanned += stats.points_scanned;
+            let (_, stats) = q.execute();
+            scanned += stats.points;
         }
         let avg_us = start.elapsed().as_secs_f64() * 1e6 / prepared.len() as f64;
         println!(
@@ -91,9 +91,9 @@ fn main() -> Result<(), TsunamiError> {
         .prepare()?;
     println!(
         "\nsingle-passenger short trips in the last month: {}",
-        short_single.execute()
+        short_single.execute().0
     );
-    assert_eq!(short_single.execute(), short_single.execute_oracle());
+    assert_eq!(short_single.execute().0, short_single.execute_oracle());
 
     // Serve a concurrent burst: every workload query plus the ad-hoc one,
     // across all three tables, through one scheduler.

@@ -12,8 +12,9 @@
 //! let data = Dataset::from_columns(vec![(0..100u64).collect(), (0..100u64).collect()]).unwrap();
 //! let mut db = Database::new();
 //! db.create_table("t", &["a", "b"], data, &Workload::default(), &IndexSpec::tsunami())?;
-//! let hits = db.table("t")?.query().range("a", 10, 29)?.execute()?;
+//! let (hits, scan) = db.table("t")?.query().range("a", 10, 29)?.execute()?;
 //! assert_eq!(hits.as_count(), Some(20));
+//! assert_eq!(scan.matched, 20);
 //! # Ok::<(), tsunami_core::TsunamiError>(())
 //! ```
 //!

@@ -15,7 +15,7 @@ use tsunami_workloads::perfmon;
 fn avg_scanned(table: &Table, workload: &tsunami_core::Workload) -> Result<f64, TsunamiError> {
     let mut total = 0usize;
     for q in workload.queries() {
-        total += table.execute_with_stats(q)?.1.points_scanned;
+        total += table.prepare(q.clone())?.execute().1.points;
     }
     Ok(total as f64 / workload.len().max(1) as f64)
 }

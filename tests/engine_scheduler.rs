@@ -63,7 +63,7 @@ fn concurrent_batches_match_serial_execution_across_all_indexes() {
         let concurrent = scheduler.execute_batch(&batch).unwrap();
         assert_eq!(scheduler.completed() as usize, batch.len());
         for (i, (got, q)) in concurrent.iter().zip(&batch).enumerate() {
-            let serial = q.execute();
+            let serial = q.execute().0;
             let oracle = q.execute_oracle();
             assert_eq!(
                 *got,
@@ -95,7 +95,7 @@ fn seeded_submit_poll_stress_preserves_per_handle_results() {
         )
         .unwrap();
     let prepared = table.prepare_workload(&workload).unwrap();
-    let expected: Vec<_> = prepared.iter().map(|q| q.execute()).collect();
+    let expected: Vec<_> = prepared.iter().map(|q| q.execute().0).collect();
 
     // Seeded stress: random bursts of submissions interleaved with random
     // polls and waits; every handle must come back with its own query's
@@ -164,6 +164,6 @@ fn batch_results_preserve_submission_order() {
     let scheduler = Scheduler::new(4);
     let results = scheduler.execute_batch(&batch).unwrap();
     for (r, q) in results.iter().zip(&batch) {
-        assert_eq!(*r, q.execute());
+        assert_eq!(*r, q.execute().0);
     }
 }

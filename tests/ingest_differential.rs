@@ -6,6 +6,9 @@
 //! parallel, with residual-predicate elimination intact — while keeping the
 //! post-ingest scan volume within a small tolerance of the fresh rebuild's.
 
+mod common;
+
+use common::run_parallel;
 use tsunami_core::sample::SplitMix;
 use tsunami_core::{Aggregation, Dataset, Point, Predicate, Query, TsunamiError, Workload};
 use tsunami_flood::FloodConfig;
@@ -154,14 +157,14 @@ fn ingest_is_bit_identical_to_a_full_rebuild() -> Result<(), TsunamiError> {
             for q in &probes {
                 let oracle = q.execute_full_scan(&merged);
                 for (label, table) in [("ingested", &ingested), ("rebuilt", &rebuilt)] {
-                    let (serial, serial_stats) = table.execute_with_stats(q)?;
+                    let (serial, serial_stats) = table.prepare(q.clone())?.execute();
                     assert_eq!(
                         serial,
                         oracle,
                         "{name}/{}/{label} diverged on {q:?}",
                         spec.label()
                     );
-                    let (parallel, parallel_stats) = table.index().execute_parallel(q, 4);
+                    let (parallel, parallel_stats) = run_parallel(table.index(), q, 4);
                     assert_eq!(
                         parallel,
                         oracle,
@@ -276,7 +279,7 @@ fn residual_elimination_stays_sound_post_ingest() -> Result<(), TsunamiError> {
 fn avg_scanned(table: &Table, workload: &Workload) -> Result<f64, TsunamiError> {
     let mut total = 0usize;
     for q in workload.queries() {
-        total += table.execute_with_stats(q)?.1.points_scanned;
+        total += table.prepare(q.clone())?.execute().1.points;
     }
     Ok(total as f64 / workload.len().max(1) as f64)
 }

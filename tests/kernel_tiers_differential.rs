@@ -15,10 +15,11 @@
 //! same property end-to-end: every index re-encodes after restructuring, so
 //! its store mixes packed full blocks with a plain partial tail.
 
+mod common;
+
+use common::{run_index, run_plan};
 use tsunami_baselines::{ClusteredSingleDimIndex, FullScanIndex, HyperOctree, KdTree, ZOrderIndex};
-use tsunami_core::exec::{
-    execute_plan_parallel_tiered, execute_plan_tiered, KernelTier, ScanPlan, BLOCK_ROWS,
-};
+use tsunami_core::exec::{KernelTier, ScanPlan, BLOCK_ROWS};
 use tsunami_core::sample::SplitMix;
 use tsunami_core::{Aggregation, CostModel, Dataset, MultiDimIndex, Predicate, Query, Workload};
 use tsunami_flood::{FloodConfig, FloodIndex};
@@ -97,17 +98,16 @@ fn tier_sweep_selectivity_predicates_and_block_offsets() {
                         plan.ranges().iter().flat_map(|r| r.range.clone()).collect();
                     let expected = q.execute_full_scan(&data.select_rows(&planned));
                     let (scalar, scalar_counters) =
-                        execute_plan_tiered(&data, &q, &plan, KernelTier::Scalar);
+                        run_plan(&data, &q, &plan, KernelTier::Scalar, 1);
                     assert_eq!(scalar, expected, "scalar vs oracle ({lo}..={hi}, {agg:?})");
                     for tier in KernelTier::ALL {
-                        let (res, counters) = execute_plan_tiered(&data, &q, &plan, tier);
+                        let (res, counters) = run_plan(&data, &q, &plan, tier, 1);
                         assert_eq!(res, scalar, "{tier:?} result ({lo}..={hi}, {npreds} preds)");
                         assert_eq!(
                             counters, scalar_counters,
                             "{tier:?} counters ({lo}..={hi}, {npreds} preds)"
                         );
-                        let (par, par_counters) =
-                            execute_plan_parallel_tiered(&data, &q, &plan, 3, tier);
+                        let (par, par_counters) = run_plan(&data, &q, &plan, tier, 3);
                         assert_eq!(par, scalar, "{tier:?} parallel result");
                         assert_eq!(par_counters, scalar_counters, "{tier:?} parallel counters");
                     }
@@ -157,7 +157,7 @@ fn all_seven_indexes_are_bit_identical_across_tiers_serial_and_parallel() {
             let q = Query::new(q.predicates().to_vec(), agg).unwrap();
             let expected = q.execute_full_scan(&data);
             for idx in &indexes {
-                let (scalar, scalar_stats) = idx.execute_tiered(&q, KernelTier::Scalar);
+                let (scalar, scalar_stats) = run_index(idx.as_ref(), &q, KernelTier::Scalar, 1);
                 assert_eq!(
                     scalar,
                     expected,
@@ -165,7 +165,7 @@ fn all_seven_indexes_are_bit_identical_across_tiers_serial_and_parallel() {
                     idx.name()
                 );
                 for tier in KernelTier::ALL {
-                    let (res, stats) = idx.execute_tiered(&q, tier);
+                    let (res, stats) = run_index(idx.as_ref(), &q, tier, 1);
                     assert_eq!(res, scalar, "{} {tier:?} ({agg:?})", idx.name());
                     assert_eq!(
                         stats,
@@ -173,7 +173,7 @@ fn all_seven_indexes_are_bit_identical_across_tiers_serial_and_parallel() {
                         "{} {tier:?} stats ({agg:?})",
                         idx.name()
                     );
-                    let (par, par_stats) = idx.execute_parallel_tiered(&q, 4, tier);
+                    let (par, par_stats) = run_index(idx.as_ref(), &q, tier, 4);
                     assert_eq!(par, scalar, "{} {tier:?} parallel ({agg:?})", idx.name());
                     assert_eq!(
                         par_stats,
@@ -262,18 +262,16 @@ fn assert_store_matches_oracle(store: &ColumnStore, label: &str) {
                     .filter(|&row| !store.tombstones().is_deleted(row))
                     .collect();
                 let expected = q.execute_full_scan(&physical.select_rows(&planned));
-                let (scalar, scalar_counters) =
-                    execute_plan_tiered(store, &q, plan, KernelTier::Scalar);
+                let (scalar, scalar_counters) = run_plan(store, &q, plan, KernelTier::Scalar, 1);
                 assert_eq!(scalar, expected, "{label} scalar vs oracle ({q:?})");
                 for tier in KernelTier::ALL {
-                    let (res, counters) = execute_plan_tiered(store, &q, plan, tier);
+                    let (res, counters) = run_plan(store, &q, plan, tier, 1);
                     assert_eq!(res, scalar, "{label} {tier:?} result ({q:?})");
                     assert_eq!(
                         counters, scalar_counters,
                         "{label} {tier:?} counters ({q:?})"
                     );
-                    let (par, par_counters) =
-                        execute_plan_parallel_tiered(store, &q, plan, 3, tier);
+                    let (par, par_counters) = run_plan(store, &q, plan, tier, 3);
                     assert_eq!(par, scalar, "{label} {tier:?} parallel result ({q:?})");
                     assert_eq!(
                         par_counters, scalar_counters,
@@ -392,7 +390,7 @@ fn residual_elimination_keeps_every_planner_consistent_with_the_oracle() {
     for q in &cases {
         let expected = q.execute_full_scan(&data);
         for idx in &indexes {
-            assert_eq!(idx.execute(q), expected, "{} on {q:?}", idx.name());
+            assert_eq!(idx.execute(q).0, expected, "{} on {q:?}", idx.name());
             let plan = idx.plan(q);
             let residual = plan.residual(q);
             assert!(

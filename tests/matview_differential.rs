@@ -17,6 +17,9 @@
 //!    engine mutation — and insert maintenance must be incremental (the
 //!    state stays fresh through inserts; deletes invalidate it).
 
+mod common;
+
+use common::run_parallel;
 use tsunami_core::sample::SplitMix;
 use tsunami_core::{
     Aggregation, CostModel, Dataset, MultiDimIndex, Point, Predicate, Query, TsunamiError, Workload,
@@ -96,13 +99,17 @@ fn assert_bit_identical(
     assert!(on.matview_enabled() && !off.matview_enabled());
     for q in probes {
         let oracle = q.execute_full_scan(live);
-        assert_eq!(on.execute(q), oracle, "{label}: matview-on vs oracle {q:?}");
         assert_eq!(
-            off.execute(q),
+            on.execute(q).0,
+            oracle,
+            "{label}: matview-on vs oracle {q:?}"
+        );
+        assert_eq!(
+            off.execute(q).0,
             oracle,
             "{label}: matview-off vs oracle {q:?}"
         );
-        let (par, _) = on.execute_parallel(q, 4);
+        let (par, _) = run_parallel(on, q, 4);
         assert_eq!(par, oracle, "{label}: matview-on parallel {q:?}");
     }
 }
@@ -189,16 +196,20 @@ fn covered_queries_skip_scanning_via_partials() {
     // Whole-domain COUNT: every region is contained in the query, so the
     // materialized plan is pure partials — zero rows visited.
     let q = Query::count(vec![Predicate::range(0, 0, u64::MAX).unwrap()]).unwrap();
-    let (res_on, stats_on) = on.execute_with_stats(&q);
-    let (res_off, stats_off) = off.execute_with_stats(&q);
+    let (res_on, stats_on) = on.execute(&q);
+    let (res_off, stats_off) = off.execute(&q);
     assert_eq!(res_on, res_off);
-    assert_eq!(stats_on.points_matched, stats_off.points_matched);
-    assert_eq!(stats_on.points_scanned, 0, "covered plan must not scan");
-    assert_eq!(stats_off.points_scanned, data.len());
+    assert_eq!(stats_on.matched, stats_off.matched);
+    assert_eq!(stats_on.points, 0, "covered plan must not scan");
+    assert_eq!(
+        stats_on.rows_prefolded, stats_on.matched,
+        "a fully covered query is answered entirely from partials"
+    );
+    assert_eq!(stats_off.points, data.len());
 
     // Parallel executors apply the same partials exactly once.
     for threads in [2, 8] {
-        let (par, par_stats) = on.execute_parallel(&q, threads);
+        let (par, par_stats) = run_parallel(&on, &q, threads);
         assert_eq!(par, res_on);
         assert_eq!(
             par_stats, stats_on,

@@ -3,12 +3,14 @@
 //! worker count, and morsel sizes that straddle block boundaries — and the
 //! pool itself must shut down cleanly (no leaked threads, idempotent
 //! shutdown) under concurrent inter-query load.
+//!
+//! Every test here creates or drops pool threads, and one of them counts the
+//! process's threads, so they all run under one lock ([`serial`]): a
+//! sibling test starting or stopping a pool mid-count would skew it.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use tsunami_core::exec::{
-    self, execute_plan_pooled_tiered, KernelTier, WorkStealingPool, BLOCK_ROWS,
-};
+use tsunami_core::exec::{self, KernelTier, WorkStealingPool, BLOCK_ROWS};
 use tsunami_core::sample::SplitMix;
 use tsunami_core::{Aggregation, Dataset, Predicate, Query, Workload};
 use tsunami_suite::{Database, IndexSpec, Scheduler, SchedulerConfig};
@@ -46,6 +48,14 @@ fn mixed_workload(n: usize, dims: usize, seed: u64) -> Workload {
     )
 }
 
+/// Serializes this binary's tests (see the module docs). A test that failed
+/// while holding the lock must not fail every later test too, so poisoning
+/// is ignored.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Current thread count of this process, from `/proc/self/status`. Returns
 /// `None` off Linux so the leak check degrades to a no-op there.
 fn process_threads() -> Option<usize> {
@@ -59,11 +69,30 @@ fn process_threads() -> Option<usize> {
         .ok()
 }
 
+/// [`process_threads`] once the count has stopped moving: a thread that
+/// just finished (the previous test's, or a pool worker that was joined)
+/// can stay visible for a moment after it is done.
+fn settled_threads() -> Option<usize> {
+    let mut last = process_threads()?;
+    let mut stable = 0;
+    for _ in 0..500 {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let now = process_threads()?;
+        stable = if now == last { stable + 1 } else { 0 };
+        last = now;
+        if stable == 3 {
+            break;
+        }
+    }
+    Some(last)
+}
+
 /// Bit-identity vs serial across all seven index families at 1, 2, and 8
 /// workers, each worker count on its own private pool. The dataset is large
 /// enough (> 4 blocks) that the pooled path does not fall back to serial.
 #[test]
 fn pooled_executor_bit_identical_to_serial_across_all_families() {
+    let _serial = serial();
     let data = dataset(10 * BLOCK_ROWS, 0xbeef);
     let workload = mixed_workload(24, data.num_dims(), 17);
     let mut db = Database::new();
@@ -80,17 +109,17 @@ fn pooled_executor_bit_identical_to_serial_across_all_families() {
             for q in workload.queries() {
                 let plan = index.plan(q);
                 let (serial, serial_counters) = exec::execute_plan(index.source(), q, &plan);
-                let (pooled, pooled_counters) = execute_plan_pooled_tiered(
+                let (pooled, pooled_counters) = exec::fold_plan(
                     index.source(),
                     q,
                     &plan,
+                    KernelTier::default(),
                     &pool,
                     workers,
                     exec::DEFAULT_MORSEL_ROWS,
-                    KernelTier::default(),
                 );
                 assert_eq!(
-                    pooled,
+                    pooled.finish(),
                     serial,
                     "workers={workers} {}: pooled result != serial on {q:?}",
                     table.name()
@@ -111,6 +140,7 @@ fn pooled_executor_bit_identical_to_serial_across_all_families() {
 /// counters, at any worker count.
 #[test]
 fn morsel_sizes_straddling_block_boundaries_stay_bit_identical() {
+    let _serial = serial();
     let data = dataset(9 * BLOCK_ROWS + 137, 0x5eed);
     let workload = mixed_workload(16, data.num_dims(), 23);
     let mut db = Database::new();
@@ -130,17 +160,17 @@ fn morsel_sizes_straddling_block_boundaries_stay_bit_identical() {
             3 * BLOCK_ROWS + 17,
         ] {
             for threads in [2usize, 5] {
-                let (pooled, pooled_counters) = execute_plan_pooled_tiered(
+                let (pooled, pooled_counters) = exec::fold_plan(
                     index.source(),
                     q,
                     &plan,
+                    KernelTier::default(),
                     &pool,
                     threads,
                     morsel_rows,
-                    KernelTier::default(),
                 );
                 assert_eq!(
-                    (pooled, pooled_counters),
+                    (pooled.finish(), pooled_counters),
                     (serial, serial_counters),
                     "morsel={morsel_rows} threads={threads} diverged on {q:?}"
                 );
@@ -154,6 +184,7 @@ fn morsel_sizes_straddling_block_boundaries_stay_bit_identical() {
 /// handle must come back with its own query's serial result.
 #[test]
 fn mixed_submit_poll_on_private_pool_preserves_results() {
+    let _serial = serial();
     let data = dataset(6 * BLOCK_ROWS, 0xab);
     let workload = mixed_workload(20, data.num_dims(), 31);
     let mut db = Database::new();
@@ -163,7 +194,7 @@ fn mixed_submit_poll_on_private_pool_preserves_results() {
         .create_table_unnamed("t", data, &workload, &IndexSpec::tsunami())
         .unwrap();
     let prepared = table.prepare_workload(&workload).unwrap();
-    let expected: Vec<_> = prepared.iter().map(|q| q.execute()).collect();
+    let expected: Vec<_> = prepared.iter().map(|q| q.execute().0).collect();
 
     for seed in 0..4u64 {
         let mut rng = SplitMix::new(seed * 7_919 + 3);
@@ -213,7 +244,8 @@ fn mixed_submit_poll_on_private_pool_preserves_results() {
 /// called twice, and run any still-queued tasks rather than dropping them.
 #[test]
 fn shutdown_joins_workers_and_is_idempotent() {
-    let before = process_threads();
+    let _serial = serial();
+    let before = settled_threads();
     {
         let mut pool = WorkStealingPool::new(4);
         if let (Some(b), Some(now)) = (before, process_threads()) {
@@ -231,16 +263,19 @@ fn shutdown_joins_workers_and_is_idempotent() {
         // Second shutdown and the implicit drop-shutdown are both no-ops.
         pool.shutdown();
     }
-    if let (Some(b), Some(after)) = (before, process_threads()) {
+    if let (Some(b), Some(after)) = (before, settled_threads()) {
         assert_eq!(after, b, "pool leaked threads: {b} -> {after}");
     }
 }
 
-/// Dropping a scheduler while results are still unpolled must drain its
-/// in-flight drainer tasks without touching the shared pool's workers, so a
-/// second scheduler on the same pool keeps working.
+/// Shutting a scheduler down with results still unpolled must complete its
+/// queue without touching the shared pool's workers, so a second scheduler
+/// on the same pool keeps working. `drain` is the completing shutdown;
+/// plain `Drop` cancels queued queries instead (see the scheduler docs), so
+/// every handle is `Ok` here only because the test drains.
 #[test]
 fn scheduler_drop_leaves_the_shared_pool_usable() {
+    let _serial = serial();
     let data = dataset(4 * BLOCK_ROWS, 0xdd);
     let workload = mixed_workload(10, data.num_dims(), 41);
     let mut db = Database::new();
@@ -257,16 +292,18 @@ fn scheduler_drop_leaves_the_shared_pool_usable() {
         for q in &prepared {
             handles.push(scheduler.submit(q.clone()).unwrap());
         }
-        // Drop with handles unpolled: Drop must wait for in-flight jobs.
+        // Shut down with handles unpolled: drain runs what is still queued
+        // and waits for in-flight jobs.
+        scheduler.drain();
     }
     for (handle, q) in handles.iter().zip(&prepared) {
-        assert_eq!(handle.wait().unwrap(), q.execute());
+        assert_eq!(handle.wait().unwrap(), q.execute().0);
     }
 
     // The pool is still fully functional for a fresh scheduler.
     let scheduler = db.scheduler(2);
     let results = scheduler.execute_batch(&prepared).unwrap();
     for (r, q) in results.iter().zip(&prepared) {
-        assert_eq!(*r, q.execute());
+        assert_eq!(*r, q.execute().0);
     }
 }

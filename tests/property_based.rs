@@ -6,7 +6,7 @@
 //! tests drive the same invariants with an explicit seed loop (deterministic,
 //! and the failing seed is part of every assertion message).
 
-use tsunami_cdf::{CdfModel, Ecdf, FunctionalMapping, HistogramCdf, Rmi};
+use tsunami_cdf::{CdfModel, Ecdf, FunctionalMapping, HistogramCdf};
 use tsunami_core::sample::SplitMix;
 use tsunami_core::{CostModel, Dataset, Predicate, Query, Workload};
 use tsunami_flood::FloodConfig;
@@ -81,7 +81,7 @@ fn all_indexes_agree_with_oracle_on_random_data() {
         for q in workload.queries() {
             let expected = q.execute_full_scan(&data);
             for (label, index) in &indexes {
-                assert_eq!(index.execute(q), expected, "{label} seed {seed} {q:?}");
+                assert_eq!(index.execute(q).0, expected, "{label} seed {seed} {q:?}");
             }
         }
     }
@@ -106,7 +106,7 @@ fn tsunami_answers_arbitrary_queries_correctly() {
         for _ in 0..6 {
             let q = random_query(&mut rng, 2);
             assert_eq!(
-                index.execute(&q),
+                index.execute(&q).0,
                 q.execute_full_scan(&data),
                 "seed {seed} {q:?}"
             );
@@ -122,12 +122,11 @@ fn cdf_models_are_monotone_and_bounded() {
         let values: Vec<u64> = (0..n).map(|_| rng.next_below(1_000_000)).collect();
         let ecdf = Ecdf::new(&values);
         let hist = HistogramCdf::build(&values, 32);
-        let rmi = Rmi::build(&values, 16);
         let mut probes: Vec<u64> = values.clone();
         probes.push(0);
         probes.push(u64::MAX / 2);
         probes.sort_unstable();
-        for model in [&ecdf as &dyn CdfModel, &hist, &rmi] {
+        for model in [&ecdf as &dyn CdfModel, &hist] {
             let mut prev = -1.0f64;
             for &v in &probes {
                 let c = model.cdf(v);

@@ -9,6 +9,9 @@
 //! paths (including the MIN/MAX value-fold fallback), and the plan-merging
 //! logic against an independent implementation.
 
+mod common;
+
+use common::run_parallel;
 use tsunami_baselines::{ClusteredSingleDimIndex, FullScanIndex, HyperOctree, KdTree, ZOrderIndex};
 use tsunami_core::sample::SplitMix;
 use tsunami_core::{
@@ -81,7 +84,7 @@ fn every_index_agrees_with_oracle_on_every_aggregation() {
                 let expected = q.execute_full_scan(&data);
                 for idx in &indexes {
                     assert_eq!(
-                        idx.execute(&q),
+                        idx.execute(&q).0,
                         expected,
                         "{} disagrees with oracle (seed {seed}, {agg:?}, {q:?})",
                         idx.name()
@@ -107,9 +110,9 @@ fn parallel_executor_matches_serial_for_every_index_and_aggregation() {
         for agg_ctor in ALL_AGGREGATIONS {
             let q = Query::new(q.predicates().to_vec(), agg_ctor(1)).unwrap();
             for idx in &indexes {
-                let (serial, serial_stats) = idx.execute_with_stats(&q);
+                let (serial, serial_stats) = idx.execute(&q);
                 for threads in [2, 8] {
-                    let (parallel, parallel_stats) = idx.execute_parallel(&q, threads);
+                    let (parallel, parallel_stats) = run_parallel(idx.as_ref(), &q, threads);
                     assert_eq!(
                         serial,
                         parallel,
@@ -149,7 +152,7 @@ fn exact_range_min_max_fallback_is_exercised_and_correct() {
         }
         for agg in [Aggregation::Min(1), Aggregation::Max(1)] {
             let q = Query::new(preds.clone(), agg).unwrap();
-            assert_eq!(q.execute_full_scan(&data), idx.execute(&q), "{agg:?}");
+            assert_eq!(q.execute_full_scan(&data), idx.execute(&q).0, "{agg:?}");
         }
     }
     // Exact ranges also arise from fully contained tree leaves; cross-check
@@ -159,7 +162,7 @@ fn exact_range_min_max_fallback_is_exercised_and_correct() {
     for q in w.queries() {
         for agg in [Aggregation::Min(2), Aggregation::Max(2)] {
             let q = Query::new(q.predicates().to_vec(), agg).unwrap();
-            assert_eq!(kd.execute(&q), q.execute_full_scan(&data), "{agg:?}");
+            assert_eq!(kd.execute(&q).0, q.execute_full_scan(&data), "{agg:?}");
         }
     }
 }
@@ -180,7 +183,7 @@ fn single_dim_residual_predicates_stay_correct() {
             Predicate::range(2, lo2, lo2 + 3).unwrap(),
         ])
         .unwrap();
-        assert_eq!(idx.execute(&q), q.execute_full_scan(&data), "{q:?}");
+        assert_eq!(idx.execute(&q).0, q.execute_full_scan(&data), "{q:?}");
     }
 }
 
@@ -205,7 +208,7 @@ fn empty_and_degenerate_queries_are_consistent() {
     for q in &cases {
         let expected = q.execute_full_scan(&data);
         for idx in &indexes {
-            assert_eq!(idx.execute(q), expected, "{} on {q:?}", idx.name());
+            assert_eq!(idx.execute(q).0, expected, "{} on {q:?}", idx.name());
         }
     }
     // Out-of-domain MIN is None everywhere.

@@ -134,3 +134,37 @@ fn hash_routing_is_stable_and_total() {
         }
     }
 }
+
+/// Every aggregation — AVG included — scatters exactly once: one scheduler
+/// job per shard, whose partial states the gather merges.
+#[test]
+fn every_aggregation_scatters_once_per_shard() {
+    let data = tpch::generate(3_000, 17);
+    let mut sharded = ShardedDatabase::new(3);
+    let table = sharded
+        .create_table(
+            "t",
+            &[],
+            &data,
+            &tsunami_core::Workload::default(),
+            &IndexSpec::FullScan,
+        )
+        .unwrap();
+    let preds = vec![Predicate::range(0, 0, u64::MAX / 2).unwrap()];
+    for agg in [
+        Aggregation::Avg(1),
+        Aggregation::Count,
+        Aggregation::Sum(1),
+        Aggregation::Min(1),
+        Aggregation::Max(1),
+    ] {
+        let q = Query::new(preds.clone(), agg).unwrap();
+        let before = sharded.scheduler().completed();
+        assert_eq!(table.execute(&q).unwrap(), q.execute_full_scan(&data));
+        assert_eq!(
+            sharded.scheduler().completed() - before,
+            sharded.num_shards() as u64,
+            "{agg:?} scattered more than once"
+        );
+    }
+}

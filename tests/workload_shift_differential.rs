@@ -5,6 +5,9 @@
 //! elimination intact — while keeping the shifted workload's scan volume
 //! within a small tolerance of the fresh rebuild's.
 
+mod common;
+
+use common::run_parallel;
 use tsunami_core::sample::SplitMix;
 use tsunami_core::{Aggregation, Dataset, Predicate, Query, TsunamiError, Workload};
 use tsunami_flood::FloodConfig;
@@ -104,14 +107,14 @@ fn incremental_reopt_is_bit_identical_to_stale_and_rebuild() -> Result<(), Tsuna
                     ("incremental", &incremental),
                     ("rebuilt", &rebuilt),
                 ] {
-                    let (serial, serial_stats) = table.execute_with_stats(q)?;
+                    let (serial, serial_stats) = table.prepare(q.clone())?.execute();
                     assert_eq!(
                         serial,
                         oracle,
                         "{name}/{}/{label} diverged on {q:?}",
                         spec.label()
                     );
-                    let (parallel, parallel_stats) = table.index().execute_parallel(q, 4);
+                    let (parallel, parallel_stats) = run_parallel(table.index(), q, 4);
                     assert_eq!(
                         parallel,
                         oracle,
@@ -175,7 +178,7 @@ fn incremental_reopt_keeps_residual_elimination_intact() -> Result<(), TsunamiEr
 fn avg_scanned(table: &Table, workload: &Workload) -> Result<f64, TsunamiError> {
     let mut total = 0usize;
     for q in workload.queries() {
-        total += table.execute_with_stats(q)?.1.points_scanned;
+        total += table.prepare(q.clone())?.execute().1.points;
     }
     Ok(total as f64 / workload.len().max(1) as f64)
 }
